@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import time
 
+from loophom.cli import group_text
 from loophom.homology import homology
 from loophom.wedge import build_pair_complex
 
@@ -33,16 +34,7 @@ def run(max_n: int, max_genus: int) -> None:
             groups = []
             for d in range(n + 1):
                 h = homology(cx, d)
-                label = "0"
-                if h.rank or h.torsion:
-                    parts = []
-                    if h.rank == 1:
-                        parts.append("Z")
-                    elif h.rank > 1:
-                        parts.append(f"Z^{h.rank}")
-                    parts.extend(f"Z/{t}" for t in h.torsion)
-                    label = " + ".join(parts)
-                groups.append(f"H_{d}={label}")
+                groups.append(f"H_{d}={group_text(h.rank, h.torsion)}")
             ms = int(round((time.perf_counter() - t0) * 1000))
             print(
                 f"g={g} n={n}: chain ranks {ranks}; "

@@ -9,7 +9,7 @@ runs except for the ``ms`` field (and any recorded ``seed`` is part of the
 parameters, so seeded suites are reproducible).
 
 Exit status: 0 when the command passed, 1 when a check failed, 2 for usage
-errors.
+errors, including an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -103,13 +103,22 @@ def run_checks(
     return Report(command, params, status, cases, failures, ms, witness, result)
 
 
+def write_json(path: str, payload: object) -> None:
+    """Write payload to path as indented JSON; an unwritable path is
+    reported like any other usage error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def emit(report: Report, args: argparse.Namespace) -> int:
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    payload = report.to_dict()
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_json(args.out, payload)
     if args.json:
-        print(text)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(
             f"{report.command}: {report.status}"
@@ -427,9 +436,7 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def emit_to_file_only(report: Report, args: argparse.Namespace) -> None:
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(args.out, report.to_dict())
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
@@ -474,8 +481,7 @@ def cmd_export_complex(args: argparse.Namespace) -> int:
     ms = int(round((time.perf_counter() - t0) * 1000))
     params = {"genus": args.genus, "n": args.n}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write_json(args.out, payload)
         result: object = {"path": args.out, "dims": len(payload["dims"])}
         report = Report("export-complex", params, "pass", 1, 0, ms, result=result)
         if args.json:
@@ -560,6 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# bounds a suite does not read; passing one is a usage error, not a no-op
+SUITE_IGNORES = {
+    "naturality": ("max_k",),
+    "theorem-b": ("max_n", "max_k"),
+    "oracle": ("max_n", "max_k"),
+}
+
 SUITE_BOUNDS = {
     "subdivision": (4, 4),
     "homotopy": (3, 3),
@@ -575,6 +588,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
+        for attr in SUITE_IGNORES.get(args.suite, ()):
+            if getattr(args, attr) is not None:
+                flag = "--" + attr.replace("_", "-")
+                parser.error(f"{flag} has no effect on verify {args.suite}")
         default_n, default_k = SUITE_BOUNDS[args.suite]
         if args.max_n is None:
             args.max_n = default_n

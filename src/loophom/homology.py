@@ -13,6 +13,19 @@ matrix leaving degree d (whose transform identifies the cycle lattice),
 then one of the degree-(d+1) boundary written in those cycle coordinates.
 The second reduction's row transform projects any cycle onto free
 coordinates plus torsion residues, vanishing exactly on boundaries.
+
+Boundaries here are mostly zeros and units, so the dense matrices are
+walked only where an entry can change a result.  Each shortcut skips work
+whose outcome is already known, so U, D, V and Vinv come out exactly as a
+full dense walk gives them:
+
+* ``mat_mul`` sums over the nonzeros of each column of the right factor;
+  a zero term adds nothing to an exact integer sum.
+* The pivot search stops at the first unit in row-major order: 1 is the
+  least possible |entry|, and the search keeps the first minimum it meets.
+* A unit pivot skips the divisibility-repair scan, since ``x % ±1 == 0``.
+* A column operation ``col_j -= q col_t`` touches only the rows whose
+  column-t entry is nonzero; the others would lose ``q * 0``.
 """
 
 from __future__ import annotations
@@ -33,10 +46,13 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     if inner is None:
         inner = len(b)
     cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols)]
-        for row in a
-    ]
+    # each column of b as its (k, b[k][c]) nonzeros: zero terms add nothing
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+    for k in range(inner):
+        for c, x in enumerate(b[k]):
+            if x:
+                columns[c].append((k, x))
+    return [[sum(row[k] * x for k, x in col) for col in columns] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -71,7 +87,12 @@ def det(a: Sequence[Sequence[int]]) -> int:
 
 def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
     """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
-    V Vinv = I."""
+    V Vinv = I.
+
+    The shortcuts (first unit ends the pivot search, no repair scan after a
+    unit pivot, column operations only on rows nonzero in the pivot column)
+    skip steps that provably change nothing; the module docstring says why.
+    """
     d = [list(row) for row in a]
     if len(d) != nrows or any(len(row) != ncols for row in d):
         raise ValueError("matrix shape disagrees with stated dimensions")
@@ -80,15 +101,21 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
     vinv = identity_matrix(ncols)
     t = 0
     while True:
-        # deterministic pivot: minimal |entry|, then lowest (row, col)
+        # deterministic pivot: minimal |entry|, then lowest (row, col); the
+        # first unit in row-major order is already that entry
         piv = None
         best = None
         for i in range(t, nrows):
+            row = d[i]
             for j in range(t, ncols):
-                x = d[i][j]
+                x = row[j]
                 if x and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         i0, j0 = piv
@@ -111,13 +138,17 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
                     u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 if d[i][t]:
                     dirty = True
+        # column t no longer changes below, so a column operation only
+        # touches the rows of d and v that are nonzero there
+        d_rows = [row for row in d if row[t]]
+        v_rows = [row for row in v if row[t]]
         for j in range(t + 1, ncols):
             if d[t][j]:
                 q = d[t][j] // p
                 if q:
-                    for row in d:
+                    for row in d_rows:
                         row[j] -= q * row[t]
-                    for row in v:
+                    for row in v_rows:
                         row[j] -= q * row[t]
                     vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
                 if d[t][j]:
@@ -125,13 +156,14 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
         if dirty:
             continue  # remainders became new, smaller candidates
         repaired = False
-        for i in range(t + 1, nrows):
-            row = d[i]
-            if any(x % p for x in row[t + 1:]):
-                d[t] = [x + y for x, y in zip(d[t], row)]
-                u[t] = [x + y for x, y in zip(u[t], u[i])]
-                repaired = True
-                break
+        if abs(p) != 1:  # a unit divides everything: nothing to repair
+            for i in range(t + 1, nrows):
+                row = d[i]
+                if any(x % p for x in row[t + 1:]):
+                    d[t] = [x + y for x, y in zip(d[t], row)]
+                    u[t] = [x + y for x, y in zip(u[t], u[i])]
+                    repaired = True
+                    break
         if repaired:
             continue  # pull the offending row up so the pivot shrinks
         if d[t][t] < 0:

@@ -167,3 +167,39 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["verify", "homotopy", "--max-n", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "homotopy", "--max-n", "1", "--max-k", "1"],
+        ["homology", "--genus", "1", "--n", "2"],
+        ["homology", "--genus", "1", "--n", "2", "--json"],
+        ["nu", "--genus", "1", "--n", "2", "--word", "x"],
+        ["export-complex", "--genus", "1", "--n", "2"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing-dir" / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("oracle", "--max-n"),
+        ("oracle", "--max-k"),
+        ("theorem-b", "--max-n"),
+        ("theorem-b", "--max-k"),
+        ("naturality", "--max-k"),
+    ],
+)
+def test_verify_rejects_bounds_the_suite_ignores(capsys, suite, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", suite, flag, "9"])
+    assert exc.value.code == 2
+    assert f"{flag} has no effect on verify {suite}" in capsys.readouterr().err

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from hashlib import sha256
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loophom.homology import (
+    Matrix,
     _snf,
     cycle_coordinates,
     det,
@@ -241,3 +246,253 @@ def test_cycle_class_additive():
         assert h.cycle_class(s) == tuple(
             x + y for x, y in zip(h.cycle_class(a), h.cycle_class(b))
         )
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the dense product and reduction.
+# ---------------------------------------------------------------------------
+
+# The two functions below are the dense originals that `mat_mul` and `_snf`
+# replaced, kept unchanged as the reference the shortcuts must reproduce
+# exactly, transforms included.
+
+
+def reference_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                        inner: int | None = None) -> Matrix:
+    """Product a @ b; pass `inner` when either factor can have zero rows."""
+    if inner is None:
+        inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols)]
+        for row in a
+    ]
+
+
+def reference_snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
+    """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
+    V Vinv = I."""
+    d = [list(row) for row in a]
+    if len(d) != nrows or any(len(row) != ncols for row in d):
+        raise ValueError("matrix shape disagrees with stated dimensions")
+    u = identity_matrix(nrows)
+    v = identity_matrix(ncols)
+    vinv = identity_matrix(ncols)
+    t = 0
+    while True:
+        # deterministic pivot: minimal |entry|, then lowest (row, col)
+        piv = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = d[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != t:
+            d[t], d[i0] = d[i0], d[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for row in d:
+                row[t], row[j0] = row[j0], row[t]
+            for row in v:
+                row[t], row[j0] = row[j0], row[t]
+            vinv[t], vinv[j0] = vinv[j0], vinv[t]
+        p = d[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            if d[i][t]:
+                q = d[i][t] // p
+                if q:
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if d[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if d[t][j]:
+                q = d[t][j] // p
+                if q:
+                    for row in d:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
+                if d[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # remainders became new, smaller candidates
+        repaired = False
+        for i in range(t + 1, nrows):
+            row = d[i]
+            if any(x % p for x in row[t + 1:]):
+                d[t] = [x + y for x, y in zip(d[t], row)]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
+                repaired = True
+                break
+        if repaired:
+            continue  # pull the offending row up so the pivot shrinks
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, d, v, vinv
+
+
+def random_sparse_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
+    """Mostly zeros and units, like the boundaries, with some larger
+    entries so that non-unit pivots, dirty remainders and the
+    divisibility-repair scan all occur."""
+    density = rng.choice((0.1, 0.3, 0.6))
+
+    def entry() -> int:
+        if rng.random() >= density:
+            return 0
+        if rng.random() < 0.7:
+            return rng.choice((1, -1))
+        return rng.choice((1, -1)) * rng.randint(2, 12)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+# each forces one path next to a shortcut, before the random matrices
+BRANCH_EXAMPLES = [
+    [[2, 3]],  # a non-unit pivot leaves a remainder: dirty
+    [[3], [5]],  # the same down a column
+    [[2, 0], [0, 3]],  # clean pivot 2, but 3 % 2: repair pulls row 1 up
+    [[4, 0, 0], [0, 6, 0], [0, 0, 10]],  # repairs across several pivots
+    [[0, 0], [0, -1], [2, 0]],  # the search stops at a unit after zeros
+]
+
+
+def test_snf_matches_reference_on_seeded_sparse_matrices():
+    rng = random.Random(20240)
+    randoms = []
+    for _ in range(300):
+        nrows = rng.randint(0, 14)
+        ncols = rng.randint(0, 14)
+        randoms.append(random_sparse_matrix(rng, nrows, ncols))
+    for a in BRANCH_EXAMPLES + randoms:
+        nrows = len(a)
+        ncols = len(a[0]) if nrows else 0
+        assert _snf(a, nrows, ncols) == reference_snf(a, nrows, ncols)
+
+
+def test_mat_mul_matches_reference_on_seeded_sparse_matrices():
+    rng = random.Random(4411)
+    for _ in range(200):
+        rows, inner, cols = (rng.randint(0, 9) for _ in range(3))
+        a = random_sparse_matrix(rng, rows, inner)
+        b = random_sparse_matrix(rng, inner, cols)
+        assert mat_mul(a, b, inner=inner) == reference_mat_mul(a, b, inner=inner)
+        assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.sampled_from((1, -1)), st.integers(-20, 20)
+)
+
+
+@st.composite
+def int_matrices(draw, nrows=st.integers(0, 9), ncols=st.integers(0, 9)):
+    r, c = draw(nrows), draw(ncols)
+    return [draw(st.lists(ENTRIES, min_size=c, max_size=c)) for _ in range(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_snf_matches_reference_property(a):
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    assert _snf(a, nrows, ncols) == reference_snf(a, nrows, ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 8))
+def test_mat_mul_matches_reference_property(data, inner):
+    a = data.draw(int_matrices(ncols=st.just(inner)))
+    b = data.draw(int_matrices(nrows=st.just(inner)))
+    assert mat_mul(a, b, inner=inner) == reference_mat_mul(a, b, inner=inner)
+
+
+# sha256 of repr(astuple(homology(cx, d))) for d = 0..n+1, recorded with the
+# dense reduction: every field, transforms included, must stay bit-identical
+HOMOLOGY_PINS = {
+    (1, 1): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "67f97126bf8e733b068c64947084e25441c3fbd5634337a0af2eb81ffc4c698c",
+        "75095085c87eb3ebe894ec011bc0ee5103d82642e2cf53d393f0503119365956",
+    ),
+    (1, 2): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "d0827c8a9d44795cf3435f02aa77bab902ee24478cbb95ca5075f6e02940ab11",
+        "75095085c87eb3ebe894ec011bc0ee5103d82642e2cf53d393f0503119365956",
+    ),
+    (2, 1): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "61598c18103e20ee08e1a2601074c2e3dfe455ccae928fbac681114997d83233",
+        "79b59f0699a49cd6666aa42d5cba5ddae934fc2365ed93f0a336ad03d27adb7b",
+        "6100c63ccf1213169ca54cdb124737d77aae8c0d35fc747537781934de8cbcdf",
+    ),
+    (2, 2): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "1bbb096ac699c96c07e51a1c65bc11e3dc30330ade3b24c119fafe9f0919296a",
+        "48f0abb635e8ad9814b8e77ca48193ed8f931bd884a7f4a5d8149d9d87586247",
+        "6100c63ccf1213169ca54cdb124737d77aae8c0d35fc747537781934de8cbcdf",
+    ),
+    (2, 3): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "fa4c6e80d2f68dc193683fac3a7294cf2823b2472cc19b1dfc1ea47e4461a945",
+        "1af6c152abe63a8ddc17022adf931ba54d2be2c211296c2e9092612cc79c2b9b",
+        "6100c63ccf1213169ca54cdb124737d77aae8c0d35fc747537781934de8cbcdf",
+    ),
+    (3, 1): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "8e49cad042b1b80f0218911d97bd5811a08fa6785950c60969578c8843365e10",
+        "9cc0518e50c04266911a97f8cf7154fc704e8d833c5709394801dfd3797f79df",
+        "6f97d4e0cda9515fa5cf56fd3fe047fe07f4318aef81385332eb9b6e79a33ff3",
+        "e017b4aadfbc0b03d8ec68b2aef0479ddc60571fd8c20de7ac8f765426393cbe",
+    ),
+    (3, 2): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "fa4c6e80d2f68dc193683fac3a7294cf2823b2472cc19b1dfc1ea47e4461a945",
+        "b2f89e5f8208f86c55e59a1beb7e75ce2815070b43d7c0b41f2696ced130bd89",
+        "b8919952b9a2948aaf8b11877794a4bcc3691e33d5b6b6dbdea5d2b938fadd39",
+        "e017b4aadfbc0b03d8ec68b2aef0479ddc60571fd8c20de7ac8f765426393cbe",
+    ),
+    (3, 3): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "8bb8b1e000c246b350419bd005ffdd8289093ddce9aa3824214a141fb09c34f7",
+        "173cd448380636036c87de06e7126568d06b381f39cff935c924a843e10ad0d0",
+        "d8a884536034354a0a82fc78c55a9884c7d5ad3a8cc0a7f3268a0e6aa343dffe",
+        "e017b4aadfbc0b03d8ec68b2aef0479ddc60571fd8c20de7ac8f765426393cbe",
+    ),
+    (4, 1): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "61598c18103e20ee08e1a2601074c2e3dfe455ccae928fbac681114997d83233",
+        "83014dab2a9cbddb4b865844cf24369374aa5223d202c92b2062a5c9ed89c42e",
+        "3e7f05785b395ed5b1d24df0f833e792fe1e9cd22406dccef68784cb453dd04a",
+        "0a9acb47a0105eb47eafdcf70a67623f2838b7517f29c31bf4c4e1ce23cdb9c5",
+        "6a88e03950f7bc67d5565524f78e9fb66ddd150548b4b1a180151ec4f17faded",
+    ),
+    (4, 2): (
+        "9049bd55ce9de62d1a7baeb0d4d020bf0db542902bd14884c19bb744223a389d",
+        "ad3564ab87abc0156558e21dfdf28d065b2b3f6298725f6f991d2cd1b1c69d35",
+        "3e3f75901eb890a88f30aa54d076891e6b0f3347a33242201ecfc347ca2a1536",
+        "c50c5d623cbc886ac102358f490c747d488667156cde1d57fc3396c382d7767a",
+        "c2cdefad61c098d1da6c05c78f949e3e22ed12f315b6fbeff738b089011730af",
+        "6a88e03950f7bc67d5565524f78e9fb66ddd150548b4b1a180151ec4f17faded",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
+def test_homology_summaries_match_pins(n, g):
+    cx = build_pair_complex(n, g)
+    digests = tuple(
+        sha256(repr(astuple(homology(cx, d))).encode()).hexdigest()
+        for d in range(n + 2)
+    )
+    assert digests == HOMOLOGY_PINS[n, g]
