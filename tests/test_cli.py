@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface and report format."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -203,3 +205,137 @@ def test_verify_rejects_bounds_the_suite_ignores(capsys, suite, flag):
         cli.main(["verify", suite, flag, "9"])
     assert exc.value.code == 2
     assert f"{flag} has no effect on verify {suite}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: every command in every output mode.
+# ---------------------------------------------------------------------------
+
+GOLDEN_COMMANDS = {
+    "verify-subdivision": ["verify", "subdivision", "--max-n", "2", "--max-k", "2"],
+    "verify-homotopy": ["verify", "homotopy"],
+    "verify-combinatorics": ["verify", "combinatorics", "--max-n", "2", "--max-k", "2"],
+    "verify-cancellation": ["verify", "cancellation"],
+    "verify-cancellation-fail": ["verify", "cancellation", "--max-n", "1", "--max-k", "1"],
+    "verify-theorem-b": ["verify", "theorem-b"],
+    "verify-theorem-b-single": [
+        "verify", "theorem-b", "--genus", "2", "--n", "2", "--gamma", "y", "--alphas", "x,x,xy",
+    ],
+    "verify-naturality": ["verify", "naturality"],
+    "verify-oracle": ["verify", "oracle"],
+    "homology-1-2": ["homology", "--genus", "1", "--n", "2"],
+    "homology-2-2": ["homology", "--genus", "2", "--n", "2"],
+    "nu-xx": ["nu", "--genus", "1", "--n", "2", "--word", "xx"],
+    "nu-xY": ["nu", "--genus", "2", "--n", "2", "--word", "xY"],
+    "export-complex": ["export-complex", "--genus", "1", "--n", "2"],
+    "nu-bad-word": ["nu", "--genus", "1", "--n", "2", "--word", "xy"],
+    "verify-bad-bound": ["verify", "homotopy", "--max-n", "0"],
+}
+
+GOLDEN_MODES = {
+    "text": [],
+    "json": ["--json"],
+    "out": ["--out", "OUT"],
+    "json-out": ["--json", "--out", "OUT"],
+}
+
+# sha256 of [exit status, stdout, stderr, --out file] with the elapsed
+# milliseconds masked and the --out path replaced by OUT, recorded before
+# the report renderer was merged into `emit`.
+GOLDEN_PINS = {
+    ('export-complex', 'json'): "fce075146c38632a7d42b34cfbf42adbe0988218cc42524bd6a179ee5bb4c6d9",
+    ('export-complex', 'json-out'): "bdc0d9ed2058fbb52c0cb12211f80129d83876a40082986095034a5f27da0730",
+    ('export-complex', 'out'): "90a1bc5a9265254b10739591360f7a9ce8a333c35086fa2976e0402c33582067",
+    ('export-complex', 'text'): "79967148ac144678804dca3cf7a52ce6ae54aa282b9f8c6f0d0e65550c7c2e38",
+    ('homology-1-2', 'json'): "e252be867b4541105e543843c93a9d25c72cfb62325571053c8a4a510a3415bc",
+    ('homology-1-2', 'json-out'): "543fe32f5f712f14bcc098b91cf0da15c58fce00c617ccba1ba38e08bf511c9a",
+    ('homology-1-2', 'out'): "fc2ed09fc697e625399447aaefab2465df43742ee5c51ed521c03721ad48df14",
+    ('homology-1-2', 'text'): "17a40a0b6c8f5a7c787ea8cda8f4d46ca60ca9d71148b1782c00ad9eb92af897",
+    ('homology-2-2', 'json'): "99a92bc26cea78fdcb2212855728aedc81602ce6f8e2467906ba8c6a0daa8e11",
+    ('homology-2-2', 'json-out'): "9b1ac04d5ac517f1c523be39d958115a5c7fbfac5bb2b42ba8458e36af95b401",
+    ('homology-2-2', 'out'): "84bbad0e7efe8456d46d44ef0ccf506b3feb84f57cacba33e05446ef86f00d37",
+    ('homology-2-2', 'text'): "dc3c3ea17c51d9c5df2ec55e37444310fe029ca93cbd9b3c227e83571de92861",
+    ('nu-bad-word', 'json'): "6c5bb144574fe80f31da10d1718767a26e2be3df388f9190ac94d4149a817433",
+    ('nu-bad-word', 'json-out'): "6c5bb144574fe80f31da10d1718767a26e2be3df388f9190ac94d4149a817433",
+    ('nu-bad-word', 'out'): "6c5bb144574fe80f31da10d1718767a26e2be3df388f9190ac94d4149a817433",
+    ('nu-bad-word', 'text'): "6c5bb144574fe80f31da10d1718767a26e2be3df388f9190ac94d4149a817433",
+    ('nu-xY', 'json'): "bb899a59b22cb95cf96625bd21aeb6d18ec4b368e3ee450ca2a09cd05d4a008d",
+    ('nu-xY', 'json-out'): "b027a1dc80d85766617175774314bccd68cad4bad6748085bf5c0c593925597a",
+    ('nu-xY', 'out'): "81a2cab392d5a4cb7357b234666fd71e67065ce224bd05d2f37e5b85c76428ae",
+    ('nu-xY', 'text'): "119a4a5ca330f13fecb94b509120d52230a54c3af5cf696ac44e33ed45510e82",
+    ('nu-xx', 'json'): "ad12b09200a0d3b4aa364f9036617d31e613d07bd10d44b097ccb834c0a6ace5",
+    ('nu-xx', 'json-out'): "97d107dd5d6e75e005a8b1f8fb593ec1245baa88bd78ff9fb817b3269f2d25d1",
+    ('nu-xx', 'out'): "eb0c74cb0407f38501892177d6cc9f665e0a40fce4d1574edc55223e0e253d69",
+    ('nu-xx', 'text'): "cac2d380ff4d82d240b166c50bad745492b095f52a075d8928991d41b346d00c",
+    ('verify-bad-bound', 'json'): "59ef3e6b251e105a8c52d4a7d015787f51bb8bebeb4bddeb91627607b7846172",
+    ('verify-bad-bound', 'json-out'): "59ef3e6b251e105a8c52d4a7d015787f51bb8bebeb4bddeb91627607b7846172",
+    ('verify-bad-bound', 'out'): "59ef3e6b251e105a8c52d4a7d015787f51bb8bebeb4bddeb91627607b7846172",
+    ('verify-bad-bound', 'text'): "59ef3e6b251e105a8c52d4a7d015787f51bb8bebeb4bddeb91627607b7846172",
+    ('verify-cancellation', 'json'): "10de532f010e89c1270e9f46a6d845e3ccdb219a1b691fd91706c776a47aebd7",
+    ('verify-cancellation', 'json-out'): "1ef0d6a4f063c88b1e7258df4824bb1f20bc7268eeb45f6368fd7ef6a7b9229d",
+    ('verify-cancellation', 'out'): "d6fb7ee8c3c207914454671f5d3a0da93cf5a2d2684cdb5d7af78b883c21ac25",
+    ('verify-cancellation', 'text'): "f706c7fc7bac60e2c982296e1cebb9018d567b9a693548dfa917fb819a78bbdb",
+    ('verify-cancellation-fail', 'json'): "39fb4dd10c837dca868059642de1c3fe9039f73aa7cfe0ec0ca52860c195218d",
+    ('verify-cancellation-fail', 'json-out'): "71d86002588cdb44227a235d5dc09e4c2672bba30c2aea12a5ab3332726b3679",
+    ('verify-cancellation-fail', 'out'): "6d1f1b260783d98363c16302271c9eccf0e71e5011c40df784df100271bcb8f3",
+    ('verify-cancellation-fail', 'text'): "6bba974a531f8324461cac8a905a31d2289b0f7bfc7f84565c7678776b30e751",
+    ('verify-combinatorics', 'json'): "cebf893f468b42fb3e4fdbfa2b6ab3a17ded7a8e8b2668e59ad37aa2b555d8b9",
+    ('verify-combinatorics', 'json-out'): "19459fb5608c560b72b811671c43e61dc8576cb8cfb3e5241afb5a6a9df86b11",
+    ('verify-combinatorics', 'out'): "38f73163e251fe423fc7d45093b4a9c6cb3f3be52a9548b3725d1a9e50ac112d",
+    ('verify-combinatorics', 'text'): "bd0bec295efb309d9063675490ccdb68a05dd9c9a2ea93c7efe3479dfe6fa474",
+    ('verify-homotopy', 'json'): "463dd229137a96804b0177bfe19201d074a3b2eb1567823e107a4a1582335622",
+    ('verify-homotopy', 'json-out'): "10b75605ab4e13fb3ef842702645d7e0084f3a7a13796ecc0725129779600c75",
+    ('verify-homotopy', 'out'): "48058108072764c18f5617e0ecb8bf31b70561d1b6644c302edfcca7c5b9f1d3",
+    ('verify-homotopy', 'text'): "eb48c9e4dd25767805322ba291a533a3947a181d6edcc0cc088c07ecd7107994",
+    ('verify-naturality', 'json'): "8c8436dc685203fa10c492d0d6bfc2ab2c661e42c939df001d43cd44815c3959",
+    ('verify-naturality', 'json-out'): "e1ce584f19315431dc59e06e7e8ad249ccecaa162e8783c7bca4e4f39a597a6b",
+    ('verify-naturality', 'out'): "9dd610b613cf58f7bdadb5a6468af501870f0bae6f1f949378e4305aec66af7f",
+    ('verify-naturality', 'text'): "a8953ed3403c32a6b1a4a0c9afc382c986fdede631cbc1acecd3d9b5d0a81e9f",
+    ('verify-oracle', 'json'): "8d9f4070571dbb6a6891453722a6933b10674fb789290a4829228e05ca248110",
+    ('verify-oracle', 'json-out'): "92e279cb99b429dd23b481284a5d66d859816cb909fd1b3945e2d30181a8a4b3",
+    ('verify-oracle', 'out'): "f0b79695618a8f40b12db06b8e0f2fd7c3eb05650e95283f3e71821aeea1e880",
+    ('verify-oracle', 'text'): "21072e63e31dba0383cba9a7ceaf9f1dc6e5869b6497a7f7eb51b08685bab1ee",
+    ('verify-subdivision', 'json'): "43686b486c3f36e80163dc805b949ee1bbdff267e66eec22e006ffc8a8e6575d",
+    ('verify-subdivision', 'json-out'): "b1c0ece3cb901a886dfba202b7af84bab4b0525593bc8e194d3df109fbd491ac",
+    ('verify-subdivision', 'out'): "e234ec5a6e469805a9c9d91fe60e43ffd8da4682010b86c3e807e1690ccb124a",
+    ('verify-subdivision', 'text'): "490978d185e92d795331d2016998d3b7c5075c520c5c084f283b57f759291ead",
+    ('verify-theorem-b', 'json'): "0c7c67f28adaea7bb4210694ee960e4044a350cfaca33f68f67fcf875f60eaf5",
+    ('verify-theorem-b', 'json-out'): "5c8e6de5c3d394947067d2d4b3d186c23a8d614681589d12f30d9b86e33ca84e",
+    ('verify-theorem-b', 'out'): "28d9e62c9e456e884fcc98a2ad49ab8d1cee37ebd290995dd297fe537b750857",
+    ('verify-theorem-b', 'text'): "a829bf51f12c90a0fc6606a1b0a10f690f6aad4277029242eb43e73596fd11c9",
+    ('verify-theorem-b-single', 'json'): "3ae86c71604c75f504449ef7309ab8c34e377f3a30443001e3a5fa5bbd332ae9",
+    ('verify-theorem-b-single', 'json-out'): "1dec64db397b6d052ec7b39fab13f2a31c6c024864f1ab6251765ec15892bea5",
+    ('verify-theorem-b-single', 'out'): "c4611d0140d0712c2b51af79a40b060b1fa9e7571d04a0aec90a3b6e933bb66e",
+    ('verify-theorem-b-single', 'text'): "a4e603a5396122b4158c55140430de4f615d2061c9833b4103d4c392f5ade8b8",
+}
+
+
+def golden_digest(capsys, monkeypatch, tmp_path, command: str, mode: str) -> str:
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    if command == "verify-cancellation-fail":
+        monkeypatch.setattr(cli, "symbolic_cancellation", lambda n: {"bogus": n})
+    path = str(tmp_path / "out.json")
+    argv = GOLDEN_COMMANDS[command] + [path if a == "OUT" else a for a in GOLDEN_MODES[mode]]
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = (tmp_path / "out.json").read_text() if (tmp_path / "out.json").exists() else None
+
+    def mask(text):
+        if text is None:
+            return None
+        text = text.replace(path, "OUT")
+        text = re.sub(r'"ms": \d+', '"ms": 0', text)
+        return re.sub(r"\b\d+ ms\)", "0 ms)", text)
+
+    record = [code, mask(captured.out), mask(captured.err), mask(written)]
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_MODES))
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_cli_output_matches_golden_pins(capsys, monkeypatch, tmp_path, command, mode):
+    assert golden_digest(capsys, monkeypatch, tmp_path, command, mode) == GOLDEN_PINS[command, mode]
