@@ -15,17 +15,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from loophom.homology import homology
 from loophom.transform import nu_eval
 from loophom.wedge import build_pair_complex
-
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    max_n: int = 3
-    max_m: int = 6
 
 
 def difference_rows(values: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
@@ -41,16 +34,16 @@ def difference_rows(values: list[tuple[int, ...]]) -> list[list[tuple[int, ...]]
     return rows
 
 
-def run(config: SurveyConfig) -> None:
+def run(max_n: int, max_m: int) -> None:
     x = ((1, 1),)
-    for n in range(1, config.max_n + 1):
+    for n in range(1, max_n + 1):
         cx = build_pair_complex(n, 1)
         summary = homology(cx, n)
         values = [
-            nu_eval(x * m, n, 1, cx, summary) for m in range(config.max_m + 1)
+            nu_eval(x * m, n, 1, cx, summary) for m in range(max_m + 1)
         ]
         print(f"degree n = {n}  (H_{n} free of rank {summary.rank})")
-        print(f"  value(x^m), m = 0..{config.max_m}:")
+        print(f"  value(x^m), m = 0..{max_m}:")
         print("    " + "  ".join(str(list(v)) for v in values))
         for level, row in enumerate(difference_rows(values)[1:], start=1):
             if all(not any(v) for v in row):
@@ -68,7 +61,7 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=3)
     parser.add_argument("--max-m", type=int, default=6)
     args = parser.parse_args()
-    run(SurveyConfig(max_n=args.max_n, max_m=args.max_m))
+    run(args.max_n, args.max_m)
 
 
 if __name__ == "__main__":

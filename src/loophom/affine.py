@@ -53,16 +53,6 @@ def vertex_E(n: int, i: int) -> Point:
     return (_ZERO,) * (n - i) + (_ONE,) * i
 
 
-def in_simplex(x: Sequence[Fraction]) -> bool:
-    """Membership in the order simplex: 0 <= t_1 <= ... <= t_q <= 1."""
-    prev = _ZERO
-    for t in x:
-        if t < prev:
-            return False
-        prev = t
-    return prev <= _ONE
-
-
 @dataclass(frozen=True)
 class AffineSimplexMap:
     """An affine map D^q -> R^p, canonically the tuple of vertex images.
@@ -109,14 +99,6 @@ class AffineSimplexMap:
                 out[c] += t * (hi[c] - lo[c])
         return tuple(out)
 
-    def is_simplex_valued(self) -> bool:
-        """Whether every vertex image lies in the order simplex D^p.
-
-        Affine maps preserve convex hulls, so this already makes the whole
-        image land in D^p.
-        """
-        return all(in_simplex(v) for v in self.vertices)
-
 
 def identity_map(n: int) -> AffineSimplexMap:
     return AffineSimplexMap(n, tuple(vertex_E(n, i) for i in range(n + 1)))
@@ -143,21 +125,6 @@ def face_map(n: int, i: int) -> AffineSimplexMap:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
     verts = tuple(vertex_E(n, j) for j in range(n + 1) if j != n - i)
     return AffineSimplexMap(n, verts)
-
-
-def pointwise_face(n: int, i: int, x: Sequence) -> Point:
-    """The i-th face evaluated directly: duplicate the i-th coordinate,
-    with t_0 = 0 and t_n = 1 at the ends."""
-    xs = as_point(x)
-    if len(xs) != n - 1:
-        raise ValueError(f"expected a point of D^{n - 1}")
-    if i == 0:
-        dup = _ZERO
-    elif i == n:
-        dup = _ONE
-    else:
-        dup = xs[i - 1]
-    return xs[:i] + (dup,) + xs[i:]
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +174,3 @@ def ftilde_map(w: Sequence[int], tau: Perm, i: int, k: int) -> tuple[AffineSimpl
     piece = subdivision_piece(tuple(w), tau, k)
     sign = epsilon(tau) * (-1 if i % 2 else 1)
     return compose(face_map(n, i), piece), sign
-
-
-def constant_map(codomain_dim: int, point: Sequence, domain_dim: int = 0) -> AffineSimplexMap:
-    """The constant map D^q -> R^p at the given point."""
-    p = as_point(point)
-    if len(p) != codomain_dim:
-        raise ValueError("point does not live in the stated codomain")
-    return AffineSimplexMap(codomain_dim, (p,) * (domain_dim + 1))

@@ -4,12 +4,17 @@ word evaluation, and complex export.
 Every command prints a report -- command, parameters, pass/fail status,
 case and failure counts, a witness for the first failure, elapsed
 milliseconds -- either as a human-readable summary or as JSON (``--json``),
-optionally written to a file (``--out``).  Reports are byte-stable across
-runs except for the ``ms`` field (and any recorded ``seed`` is part of the
+optionally written to a file (``--out``).  `emit` is the only code that
+prints a report or writes ``--out``.  Reports are byte-stable across runs
+except for the ``ms`` field (and any recorded ``seed`` is part of the
 parameters, so seeded suites are reproducible).
 
+`SUITES` lists, for each verify suite, its checks and the flags it reads
+with their defaults.
+
 Exit status: 0 when the command passed, 1 when a check failed, 2 for usage
-errors, including an ``--out`` file that cannot be written.
+errors, including an ``--out`` file that cannot be written (nothing is
+printed then) and a verify flag the suite does not read.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def run_checks(
     return Report(command, params, status, cases, failures, ms, witness, result)
 
 
-def write_json(path: str, payload: object) -> None:
+def emit_to_file_only(payload: object, path: str) -> None:
     """Write payload to path as indented JSON; an unwritable path is
     reported like any other usage error (exit 2)."""
     try:
@@ -113,12 +118,27 @@ def write_json(path: str, payload: object) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def emit(report: Report, args: argparse.Namespace) -> int:
+def emit(
+    report: Report,
+    args: argparse.Namespace,
+    lines: list[str] | None = None,
+    file_payload: object | None = None,
+) -> int:
+    """The one way a report leaves the program.
+
+    ``--out`` receives the report as JSON, or `file_payload` in its place;
+    it is written first, so a failed write prints nothing.  Standard output
+    gets the report as JSON with ``--json``, else the command's summary
+    `lines`, else a status line with the witness and (without ``--out``) the
+    result.  Returns the exit status.
+    """
     payload = report.to_dict()
-    if getattr(args, "out", None):
-        write_json(args.out, payload)
+    if args.out:
+        emit_to_file_only(payload if file_payload is None else file_payload, args.out)
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
+    elif lines is not None:
+        print("\n".join(lines))
     else:
         print(
             f"{report.command}: {report.status}"
@@ -126,7 +146,7 @@ def emit(report: Report, args: argparse.Namespace) -> int:
         )
         if report.witness is not None:
             print(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
-        if report.result is not None and not getattr(args, "out", None):
+        if report.result is not None and not args.out:
             print(f"  result: {json.dumps(report.result, sort_keys=True)}")
     return 0 if report.status == "pass" else 1
 
@@ -264,53 +284,40 @@ def cancellation_checks(max_n: int, max_k: int) -> Iterator[Check]:
             yield acc.is_zero(), {"check": "paired-composites", "n": n, "k": k}
 
 
-def theorem_b_checks(args: argparse.Namespace) -> tuple[Iterator[Check], dict]:
-    g = args.genus
-    n = args.n
-    if args.alphas is not None:
-        texts = [args.gamma or ""] + args.alphas.split(",")
-        alphabet = make_alphabet(texts, g)
-        gamma = parse_word(texts[0], alphabet)
-        alphas = [parse_word(t, alphabet) for t in texts[1:]]
-        params = {
-            "genus": g,
-            "n": n,
-            "gamma": texts[0],
-            "alphas": texts[1:],
-        }
-
-        def single() -> Iterator[Check]:
-            ok, coords = vanishing_sum_check(gamma, alphas, n, g)
-            yield ok, None if ok else {"class": list(coords)}
-
-        return single(), params
-
-    alphabet = make_alphabet([], g)
-    letters = [((i, 1),) for i in range(1, g + 1)]
+def theorem_b_checks(
+    genus: int, n: int, gamma: str | None, alphas: list[str] | None
+) -> Iterator[Check]:
+    """One vanishing sum for the given words, or the battery: every gamma of
+    length <= 2 against every (n+1)-tuple of single letters."""
+    if alphas is not None:
+        alphabet = make_alphabet([gamma] + alphas, genus)
+        ok, coords = vanishing_sum_check(
+            parse_word(gamma, alphabet),
+            [parse_word(t, alphabet) for t in alphas],
+            n,
+            genus,
+        )
+        yield ok, None if ok else {"class": list(coords)}
+        return
+    alphabet = make_alphabet([], genus)
+    letters = [((i, 1),) for i in range(1, genus + 1)]
     gammas: list[tuple] = [()]
     for length in (1, 2):
         for combo in itertools.product(letters, repeat=length):
             gammas.append(sum(combo, ()))
-    params = {"genus": g, "n": n, "gamma": None, "alphas": None}
-
-    def battery() -> Iterator[Check]:
-        cx = build_pair_complex(n, g)
-        summary = homology(cx, n)
-        for gamma in gammas:
-            for alphas in itertools.product(letters, repeat=n + 1):
-                ok, coords = vanishing_sum_check(
-                    gamma, list(alphas), n, g, cx, summary
-                )
-                witness = None
-                if not ok:
-                    witness = {
-                        "gamma": word_str(gamma, alphabet),
-                        "alphas": [word_str(a, alphabet) for a in alphas],
-                        "class": list(coords),
-                    }
-                yield ok, witness
-
-    return battery(), params
+    cx = build_pair_complex(n, genus)
+    summary = homology(cx, n)
+    for base in gammas:
+        for loops in itertools.product(letters, repeat=n + 1):
+            ok, coords = vanishing_sum_check(base, list(loops), n, genus, cx, summary)
+            witness = None
+            if not ok:
+                witness = {
+                    "gamma": word_str(base, alphabet),
+                    "alphas": [word_str(a, alphabet) for a in loops],
+                    "class": list(coords),
+                }
+            yield ok, witness
 
 
 def naturality_checks(max_n: int) -> Iterator[Check]:
@@ -353,17 +360,31 @@ def naturality_checks(max_n: int) -> Iterator[Check]:
                         yield ok, witness
 
 
-def oracle_checks(seed: int, points_per_case: int) -> Iterator[Check]:
+def oracle_checks(seed: int, points: int) -> Iterator[Check]:
     words = [
         tuple((i, 1) for i in letters)
         for length in (1, 2, 3)
         for letters in itertools.product((1, 2), repeat=length)
     ]
     for n in (1, 2, 3):
-        pts = random_simplex_points(n, points_per_case, seed + n)
+        pts = random_simplex_points(n, points, seed + n)
         for w in words:
             ok = sampling_oracle(w, n, pts)
             yield ok, None if ok else {"word": word_str(w), "n": n}
+
+
+# Each suite: its checks, and the parameters they take with their defaults.
+# Every parameter but oracle's points is the verify flag of the same name;
+# a verify flag missing from a suite's entry is one it does not read.
+SUITES: dict[str, tuple[Callable[..., Iterator[Check]], dict]] = {
+    "subdivision": (subdivision_checks, {"max_n": 4, "max_k": 4}),
+    "homotopy": (homotopy_checks, {"max_n": 3, "max_k": 3}),
+    "combinatorics": (combinatorics_checks, {"max_n": 3, "max_k": 3}),
+    "cancellation": (cancellation_checks, {"max_n": 3, "max_k": 3}),
+    "theorem-b": (theorem_b_checks, {"genus": 2, "n": 2, "gamma": None, "alphas": None}),
+    "naturality": (naturality_checks, {"max_n": 2}),
+    "oracle": (oracle_checks, {"seed": 0, "points": 100}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +393,8 @@ def oracle_checks(seed: int, points_per_case: int) -> Iterator[Check]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    if suite == "subdivision":
-        params = {"max_n": args.max_n, "max_k": args.max_k}
-        checks: Iterable[Check] = subdivision_checks(args.max_n, args.max_k)
-    elif suite == "homotopy":
-        params = {"max_n": args.max_n, "max_k": args.max_k}
-        checks = homotopy_checks(args.max_n, args.max_k)
-    elif suite == "combinatorics":
-        params = {"max_n": args.max_n, "max_k": args.max_k}
-        checks = combinatorics_checks(args.max_n, args.max_k)
-    elif suite == "cancellation":
-        params = {"max_n": args.max_n, "max_k": args.max_k}
-        checks = cancellation_checks(args.max_n, args.max_k)
-    elif suite == "theorem-b":
-        checks, params = theorem_b_checks(args)
-    elif suite == "naturality":
-        params = {"max_n": args.max_n}
-        checks = naturality_checks(args.max_n)
-    else:  # oracle
-        params = {"seed": args.seed, "points": 100}
-        checks = oracle_checks(args.seed, 100)
-    return emit(run_checks(f"verify {suite}", params, checks), args)
+    checks = SUITES[args.suite][0](**args.params)
+    return emit(run_checks(f"verify {args.suite}", args.params, checks), args)
 
 
 def group_text(rank: int, torsion: tuple[int, ...]) -> str:
@@ -425,18 +426,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
     report = Report(
         "homology", params, "pass", len(groups), 0, ms, result={"groups": groups}
     )
-    if not args.json:
-        print(f"homology: rank-{args.genus} wedge, power {args.n} ({ms} ms)")
-        for row in groups:
-            print(f"  H_{row['d']} = {row['group']}")
-        if args.out:
-            emit_to_file_only(report, args)
-        return 0
-    return emit(report, args)
-
-
-def emit_to_file_only(report: Report, args: argparse.Namespace) -> None:
-    write_json(args.out, report.to_dict())
+    lines = [f"homology: rank-{args.genus} wedge, power {args.n} ({ms} ms)"]
+    lines += [f"  H_{row['d']} = {row['group']}" for row in groups]
+    return emit(report, args, lines)
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
@@ -462,15 +454,9 @@ def cmd_nu(args: argparse.Namespace) -> int:
         "torsion": list(summary.torsion),
     }
     report = Report("nu", params, "pass", 1, 0, ms, result=result)
-    if not args.json:
-        print(f"nu: {args.word!r} at degree {args.n} ({ms} ms)")
-        print(f"  class: {list(coords)}")
-        for label in sorted(chain):
-            print(f"  chain {label}: {chain[label]}")
-        if args.out:
-            emit_to_file_only(report, args)
-        return 0
-    return emit(report, args)
+    lines = [f"nu: {args.word!r} at degree {args.n} ({ms} ms)", f"  class: {list(coords)}"]
+    lines += [f"  chain {label}: {chain[label]}" for label in sorted(chain)]
+    return emit(report, args, lines)
 
 
 def cmd_export_complex(args: argparse.Namespace) -> int:
@@ -480,20 +466,13 @@ def cmd_export_complex(args: argparse.Namespace) -> int:
     payload = complex_to_json(cx, alphabet)
     ms = int(round((time.perf_counter() - t0) * 1000))
     params = {"genus": args.genus, "n": args.n}
-    if args.out:
-        write_json(args.out, payload)
-        result: object = {"path": args.out, "dims": len(payload["dims"])}
+    if args.out:  # the file gets the complex, the report says where it went
+        dims = len(payload["dims"])
+        result = {"path": args.out, "dims": dims}
         report = Report("export-complex", params, "pass", 1, 0, ms, result=result)
-        if args.json:
-            print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-        else:
-            print(
-                f"export-complex: wrote {args.out}"
-                f" ({len(payload['dims'])} dimensions)"
-            )
-        return 0
-    report = Report("export-complex", params, "pass", 1, 0, ms, result=payload)
-    return emit(report, args)
+        lines = [f"export-complex: wrote {args.out} ({dims} dimensions)"]
+        return emit(report, args, lines, file_payload=payload)
+    return emit(Report("export-complex", params, "pass", 1, 0, ms, result=payload), args)
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="run a verification suite"
     )
+    p_verify.add_argument("suite", choices=list(SUITES))
+    # no defaults here: a flag given explicitly is told apart from an
+    # absent one, and SUITES fills in what the suite reads
+    p_verify.add_argument("--max-n", type=int, help="dimension bound")
+    p_verify.add_argument("--max-k", type=int, help="arity bound")
+    p_verify.add_argument("--genus", type=int, help="wedge rank")
+    p_verify.add_argument("--n", type=int, help="evaluation degree")
+    p_verify.add_argument("--gamma", help="base word (theorem-b)")
     p_verify.add_argument(
-        "suite",
-        choices=[
-            "subdivision",
-            "homotopy",
-            "combinatorics",
-            "cancellation",
-            "theorem-b",
-            "naturality",
-            "oracle",
-        ],
+        "--alphas", type=lambda text: text.split(","), help="comma-separated loops (theorem-b)"
     )
-    p_verify.add_argument("--max-n", type=int, default=None, help="dimension bound")
-    p_verify.add_argument("--max-k", type=int, default=None, help="arity bound")
-    p_verify.add_argument("--genus", type=int, default=2, help="wedge rank")
-    p_verify.add_argument("--n", type=int, default=2, help="evaluation degree")
-    p_verify.add_argument("--gamma", default=None, help="base word (theorem-b)")
-    p_verify.add_argument(
-        "--alphas", default=None, help="comma-separated loops (theorem-b)"
-    )
-    p_verify.add_argument("--seed", type=int, default=0, help="oracle sample seed")
+    p_verify.add_argument("--seed", type=int, help="oracle sample seed")
     p_verify.set_defaults(func=cmd_verify)
 
     p_hom = sub.add_parser(
@@ -566,39 +536,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# bounds a suite does not read; passing one is a usage error, not a no-op
-SUITE_IGNORES = {
-    "naturality": ("max_k",),
-    "theorem-b": ("max_n", "max_k"),
-    "oracle": ("max_n", "max_k"),
-}
+VERIFY_FLAGS = ("max_n", "max_k", "genus", "n", "gamma", "alphas", "seed")
 
-SUITE_BOUNDS = {
-    "subdivision": (4, 4),
-    "homotopy": (3, 3),
-    "combinatorics": (3, 3),
-    "cancellation": (3, 3),
-    "naturality": (2, 2),
-    "theorem-b": (2, 2),
-    "oracle": (3, 3),
-}
+
+def suite_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """The parameters of verify SUITE: each flag it reads, else its default
+    from SUITES.  A flag the suite does not read is a usage error, not a
+    no-op."""
+    defaults = SUITES[args.suite][1]
+    for attr in VERIFY_FLAGS:
+        if attr not in defaults and getattr(args, attr) is not None:
+            flag = "--" + attr.replace("_", "-")
+            parser.error(f"{flag} has no effect on verify {args.suite}")
+    if args.gamma is not None and args.alphas is None:
+        parser.error("--gamma needs --alphas")
+    params = {
+        attr: default if getattr(args, attr, None) is None else getattr(args, attr)
+        for attr, default in defaults.items()
+    }
+    if params.get("alphas") is not None and params["gamma"] is None:
+        params["gamma"] = ""  # loops around the empty base word
+    if params.get("max_n", 1) < 1 or params.get("max_k", 1) < 1:
+        parser.error("--max-n and --max-k must be at least 1")
+    return params
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        for attr in SUITE_IGNORES.get(args.suite, ()):
-            if getattr(args, attr) is not None:
-                flag = "--" + attr.replace("_", "-")
-                parser.error(f"{flag} has no effect on verify {args.suite}")
-        default_n, default_k = SUITE_BOUNDS[args.suite]
-        if args.max_n is None:
-            args.max_n = default_n
-        if args.max_k is None:
-            args.max_k = default_k
-        if args.max_n < 1 or args.max_k < 1:
-            parser.error("--max-n and --max-k must be at least 1")
+        args.params = suite_params(parser, args)
     for attr in ("genus", "n"):
         value = getattr(args, attr, None)
         if value is not None and value < 1:

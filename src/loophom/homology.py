@@ -230,13 +230,10 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     nd = cx.rank(d)
     below = cx.rank(d - 1) if d >= 1 else 0
     above = cx.rank(d + 1)
-    md = cx.boundary_matrix(d) if d >= 1 else [[] for _ in range(0)]
-    md = [list(r) for r in md]
-    if d >= 1 and len(md) != below:
+    # below degree 1 nothing constrains the cycles
+    md = [list(r) for r in cx.boundary_matrix(d)] if d >= 1 else []
+    if len(md) != below:
         raise ValueError("boundary matrix at d has the wrong shape")
-    if d < 1:
-        md = [[0] * nd for _ in range(0)]  # no constraints
-        below = 0
     md1 = [list(r) for r in cx.boundary_matrix(d + 1)]
     if len(md1) != nd:
         raise ValueError("boundary matrix at d+1 has the wrong shape")
@@ -269,8 +266,3 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
         _uprime=tuple(tuple(r) for r in uprime),
         _bdry_diag=diag,
     )
-
-
-def cycle_coordinates(cx: ChainComplexLike, d: int, z: Sequence[int]) -> tuple[int, ...]:
-    """Homology coordinates of a cycle vector (free part, then residues)."""
-    return homology(cx, d).cycle_class(z)

@@ -39,11 +39,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_perm(images: Sequence[int]) -> bool:
-    n = len(images)
-    return sorted(images) == list(range(1, n + 1))
-
-
 def compose(s: Perm, t: Perm) -> Perm:
     """Composition (s o t)(i) = s(t(i)), applying t first.
 
@@ -294,18 +289,6 @@ def level_sizes(v: Sequence[int], k: int) -> tuple[int, ...]:
     for x in v:
         sizes[x] += 1
     return tuple(sizes)
-
-
-def is_ens(v: Sequence[int], sigma: Perm, k: int) -> bool:
-    """Whether (v, sigma) is a subdivision index: v nondecreasing within
-    [0, k-1] and sigma a shuffle of its level-set sizes."""
-    if len(v) != len(sigma):
-        return False
-    if any(not 0 <= x <= k - 1 for x in v):
-        return False
-    if any(v[p] > v[p + 1] for p in range(len(v) - 1)):
-        return False
-    return is_shuffle(level_sizes(v, k), sigma)
 
 
 def enumerate_ens(n: int, k: int) -> list[tuple[tuple[int, ...], Perm]]:

@@ -43,13 +43,6 @@ def cell_face(cell: Cell, d: int, i: int) -> Cell:
     return (e, j2) if 1 <= j2 <= d - 1 else None
 
 
-def cell_degenerate_at(cell: Cell, i: int) -> bool:
-    """Whether the cell is a degeneracy duplicating vertex i (0-based slot)."""
-    if cell is None:
-        return True
-    return i != cell[1] - 1
-
-
 @dataclass(frozen=True)
 class ProductSimplex:
     """A dimension-``dim`` simplex of the n-fold product of circles."""
@@ -79,9 +72,6 @@ class ProductSimplex:
     def is_nondegenerate(self) -> bool:
         jumps = {c[1] for c in self.components if c is not None}
         return jumps.issuperset(range(1, self.dim + 1))
-
-    def degenerate_at(self, i: int) -> bool:
-        return all(cell_degenerate_at(c, i) for c in self.components)
 
     def sort_key(self):
         d = self.dim
@@ -159,12 +149,6 @@ class PairComplex:
 
     def rank(self, d: int) -> int:
         return len(self.basis(d))
-
-    def index(self, d: int, s: ProductSimplex) -> int | None:
-        try:
-            return self.bases[d].index(s)
-        except (ValueError, IndexError):
-            return None
 
     def boundary_matrix(self, d: int) -> tuple[tuple[int, ...], ...]:
         """The matrix of the boundary leaving dimension d; rows indexed by

@@ -104,28 +104,6 @@ def check_rank(w: Word, g: int) -> None:
             raise ValueError(f"letter exponent must be +-1, got {e}")
 
 
-def reduce_word(w: Word) -> Word:
-    """Free reduction (cancel adjacent inverse pairs); idempotent.
-
-    >>> reduce_word(((1, 1), (1, -1), (2, 1)))
-    ((2, 1),)
-    """
-    stack: list[tuple[int, int]] = []
-    for letter in w:
-        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
-
-
-def concat(*ws: Word) -> Word:
-    out: Word = ()
-    for w in ws:
-        out = out + tuple(w)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Truncated noncommutative polynomials.
 # ---------------------------------------------------------------------------

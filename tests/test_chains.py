@@ -10,7 +10,6 @@ import pytest
 
 from loophom.affine import (
     AffineSimplexMap,
-    constant_map,
     f_map,
     identity_map,
     subdivision_piece,
@@ -28,7 +27,8 @@ from loophom.chains import (
     identity_chain,
     zero_chain,
 )
-from loophom.permutations import enumerate_ens, invol, is_ens, point_sign
+from loophom.permutations import enumerate_ens, invol, point_sign
+from oracles import constant_map
 
 F = Fraction
 

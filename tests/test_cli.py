@@ -169,6 +169,10 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["verify", "homotopy", "--max-n", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "theorem-b", "--gamma", "y"])
+    assert exc.value.code == 2
+    assert "--gamma needs --alphas" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -184,7 +188,9 @@ def test_usage_errors_exit_2(capsys):
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "missing-dir" / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
     assert not out.exists()
@@ -198,6 +204,13 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
         ("theorem-b", "--max-n"),
         ("theorem-b", "--max-k"),
         ("naturality", "--max-k"),
+        ("theorem-b", "--seed"),
+        ("subdivision", "--genus"),
+        ("oracle", "--n"),
+        ("homotopy", "--gamma"),
+        ("naturality", "--alphas"),
+        ("combinatorics", "--seed"),
+        ("cancellation", "--n"),
     ],
 )
 def test_verify_rejects_bounds_the_suite_ignores(capsys, suite, flag):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from loophom.homology import (
     Matrix,
     _snf,
-    cycle_coordinates,
     det,
     homology,
     identity_matrix,
@@ -167,7 +166,7 @@ def test_not_a_complex_raises():
 def test_empty_degree():
     cx = StubComplex({0: 1})
     assert homology(cx, 5).rank == 0
-    assert cycle_coordinates(cx, 5, []) == ()
+    assert homology(cx, 5).cycle_class([]) == ()
 
 
 # ---------------------------------------------------------------------------
