@@ -16,8 +16,9 @@ partial diagonals of the n-fold product:
 * ``wedge`` -- the simplicial wedge-of-circles model, product simplices,
   and the normalized relative chain complex of (X^n, Y);
 * ``homology`` -- Smith normal form and homology coordinates over Z;
-* ``transform`` -- the shuffle decomposition, evaluation of the resulting
-  homology classes, symbolic cancellation, and naturality checks;
+* ``transform`` -- the shuffle decomposition, evaluation of words as a
+  cached matrix times their Magnus expansion, symbolic cancellation, and
+  naturality checks;
 * ``cli`` -- command-line verification suites and reports.
 """
 

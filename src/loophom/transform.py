@@ -18,9 +18,22 @@ parts, shuffle of the composition):
 
 Every term lands in the canonical basis (jumps are then a bijection, and no
 component sits at the basepoint), the signed sum is a relative cycle, and
-its homology coordinates are the value of the transformation.  Words with
-inverse letters are first rewritten as combinations of positive words with
-the same degree-n expansion.
+its homology coordinates are the value of the transformation.
+
+`nu_vector` does not expand terms.  Grouping the terms that land on one
+basis simplex s shows that the coefficient of s is linear in the degree-n
+Magnus coordinates of the word: the blocks with nonzero parts split the
+positions of s into consecutive runs, each run of constant letter and
+ascending sigma, and the number of ways to place those runs in w is the
+Magnus coefficient of the monomial of run letters.  So the chain vector is
+a fixed integer matrix M_{n,g} times the truncated Magnus expansion, for
+any integer combination of words (inverse letters included), and the
+matrix is built once per (n, g).
+
+`subdivision_vector` keeps the geometric sum itself -- inverse letters
+rewritten by `positivize`, then every shuffle term mapped to its simplex --
+as an independent witness: `vanishing_sum_check` evaluates through it and
+requires it to agree with `nu_vector`.
 
 The module also houses the cross-checks used by the verification suites: a
 pointwise sampling oracle for the decomposition, the symbolic
@@ -32,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import ceil, comb
 from random import Random
@@ -39,8 +53,23 @@ from typing import Mapping, Sequence
 
 from .homology import HomologySummary, homology
 from .permutations import Perm, enumerate_shuffles, epsilon, iter_compositions
-from .wedge import PairComplex, ProductSimplex, build_pair_complex, in_Y, push_simplex
-from .words import Word, WordCombo, check_rank, is_positive, positivize
+from .wedge import (
+    PairComplex,
+    ProductSimplex,
+    build_pair_complex,
+    enumerate_basis,
+    in_Y,
+    push_simplex,
+)
+from .words import (
+    Monomial,
+    Word,
+    WordCombo,
+    check_rank,
+    combo_magnus,
+    is_positive,
+    positivize,
+)
 
 BASEPOINT = ("*",)
 
@@ -118,10 +147,11 @@ def _as_combo(elt: Word | Mapping[Word, int], n: int) -> WordCombo:
     return combo
 
 
-def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
-    """Chain vector of the transformation on the degree-n basis of the
-    pair complex.  Inverse letters are rewritten first; the empty word is
-    the constant loop, whose simplices all collapse, so it contributes 0."""
+def subdivision_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
+    """Chain vector of the transformation as the geometric sum: inverse
+    letters are rewritten first, then every shuffle term of every positive
+    word is mapped to its basis simplex.  The empty word is the constant
+    loop, whose simplices all collapse, so it contributes 0."""
     n = cx.n
     combo = _as_combo(elt, n)
     out = [0] * cx.rank(n)
@@ -134,6 +164,50 @@ def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
             s = term_to_simplex(t)
             out[index[s]] += c * t.sign
     return out
+
+
+Row = tuple[tuple[Monomial, int], ...]
+
+
+def _row(s: ProductSimplex) -> Row:
+    """The Magnus coordinates that feed basis simplex s: every split of the
+    positions into consecutive runs of constant letter and ascending sigma
+    adds the sign of sigma at the monomial of the run letters."""
+    n = s.dim
+    letters = [c[0] for c in s.components]
+    sigma = [n - c[1] + 1 for c in s.components]
+    sign = epsilon(tuple(sigma))
+    row: dict[Monomial, int] = {}
+
+    def split(start: int, mono: Monomial) -> None:
+        if start == n:
+            row[mono] = row.get(mono, 0) + sign
+            return
+        end = start + 1
+        while True:
+            split(end, mono + (letters[start],))
+            if end == n or letters[end] != letters[start] or sigma[end] < sigma[end - 1]:
+                return
+            end += 1
+
+    split(0, ())
+    return tuple(row.items())
+
+
+@lru_cache(maxsize=None)
+def _rows(n: int, g: int) -> tuple[Row, ...]:
+    """The rows of M_{n,g}, in the order of the degree-n basis."""
+    return tuple(_row(s) for s in enumerate_basis(n, g, n))
+
+
+def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
+    """Chain vector of the transformation on the degree-n basis of the
+    pair complex: M_{n,g} times the degree-n Magnus expansion of the word
+    or integer combination of words.  The empty word expands to 1, which
+    no row reads, so it evaluates to 0."""
+    combo = {elt: 1} if isinstance(elt, tuple) else elt
+    expansion = combo_magnus(combo, cx.n, cx.g)
+    return [sum(c * expansion.get(m, 0) for m, c in row) for row in _rows(cx.n, cx.g)]
 
 
 def nu_eval(
@@ -164,8 +238,12 @@ def vanishing_sum_check(
     gamma * prod_{i in I} alpha_i (ascending), in homology.
 
     The summed combination equals gamma * prod_i (1 - alpha_i), a right
-    multiple of n+1 augmentation factors, so the result must be zero; the
-    coordinates are returned alongside for reporting.
+    multiple of n+1 augmentation factors, so the result must be zero.  Its
+    Magnus expansion has no terms of degree <= n, so `nu_vector` gives 0
+    by construction; the class is therefore taken from the geometric
+    `subdivision_vector`, and the check also requires that chain vector to
+    equal `nu_vector`'s.  The coordinates are returned alongside for
+    reporting.
     """
     if len(alphas) != n + 1:
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
@@ -181,8 +259,13 @@ def vanishing_sum_check(
             combo[word] = c2
         else:
             combo.pop(word, None)
-    coords = nu_eval(combo, n, g, cx, summary)
-    return not any(coords), coords
+    if cx is None:
+        cx = build_pair_complex(n, g)
+    if summary is None:
+        summary = homology(cx, n)
+    vec = subdivision_vector(combo, cx)
+    coords = summary.cycle_class(vec)
+    return not any(coords) and vec == nu_vector(combo, cx), coords
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +333,18 @@ def path_eval(w: Word, s: Fraction) -> tuple:
     return (w[b - 1][0], u)
 
 
+def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
+    """The concatenated-loops path at time (b - 1 + x_q) / k, indexed
+    [b - 1][q - 1] over blocks b and coordinates q of the sample point."""
+    k = len(w)
+    return [[path_eval(w, Fraction(b + xq, k)) for xq in x] for b in range(k)]
+
+
 def term_matches_path(
     t: ShuffleTerm,
     x: Sequence[Fraction],
     cell: ProductSimplex | None = None,
+    path: list[list[tuple]] | None = None,
 ) -> bool:
     """Whether, at the sample point x, the simplex encoding the term agrees
     with the subdivided path.
@@ -263,17 +354,18 @@ def term_matches_path(
     subdivision piece; the simplex side reads component p of
     ``term_to_simplex(t)``, whose jump j names the source coordinate
     q = n - j + 1.  ``cell`` substitutes a different simplex (for negative
-    controls).
+    controls); ``path`` is the term word's `_path_table` at x, which
+    `sampling_oracle` computes once per point for all terms.
     """
-    w = t.word
-    k = len(w)
     n = len(t.sigma)
     if cell is None:
         cell = term_to_simplex(t)
+    if path is None:
+        path = _path_table(t.word, x)
     for p in range(1, n + 1):
         letter, jump = cell.components[p - 1]
         u = x[(n - jump + 1) - 1]
-        lhs = path_eval(w, Fraction(t.block_of(p) - 1 + x[t.sigma[p - 1] - 1], k))
+        lhs = path[t.block_of(p) - 1][t.sigma[p - 1] - 1]
         rhs = BASEPOINT if u in (0, 1) else (letter, u)
         if lhs != rhs:
             return False
@@ -295,8 +387,12 @@ def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[Fraction,
 
 def sampling_oracle(w: Word, n: int, points: Sequence[Sequence[Fraction]]) -> bool:
     """Check every decomposition term of w against the path at every point."""
-    terms = shuffle_expand(w, n)
-    return all(term_matches_path(t, x) for t in terms for x in points)
+    terms = [(t, term_to_simplex(t)) for t in shuffle_expand(w, n)]
+    for x in points:
+        path = _path_table(w, x)
+        if not all(term_matches_path(t, x, cell, path) for t, cell in terms):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,17 @@ of noncommutative polynomials truncated above total degree n.  Its kernel
 on integer combinations of words is exactly the span of the right-multiples
 ``(word) * (product of n+1 augmentation-ideal factors)``, so the monomials
 of degree <= n give a free basis of the corresponding quotient of the group
-ring.  ``positivize`` rewrites any word as an integer combination of
-positive words with the same expansion, via
+ring.  The evaluation in ``transform.nu_vector`` reads a word only through
+``combo_magnus``: its chain vector is a fixed matrix times these
+coordinates, inverse letters included.
+
+``positivize`` rewrites any word as an integer combination of positive
+words with the same expansion, via
 
     (inverse of x)  ==  sum_{j=0}^{n} (1 - x)^j   (mod degree > n),
 
-which lets the geometric evaluation downstream assume positive words.
+which lets the geometric subdivision (``transform.subdivision_vector``, the
+independent witness in the theorem-b suite) assume positive words.
 """
 
 from __future__ import annotations
@@ -167,6 +172,8 @@ def magnus(w: Word, n: int, g: int | None = None) -> Tensor:
 
 
 def combo_magnus(combo: Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
+    """Degree-n expansion of an integer combination of words; with g given,
+    every word is checked against the rank first."""
     out: Tensor = {}
     for w, c in combo.items():
         out = tensor_add(out, magnus(w, n, g), scale=c)

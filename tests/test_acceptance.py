@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from fractions import Fraction
-from math import comb
 from random import Random
 
 from loophom.affine import f_map, ftilde_map
@@ -21,7 +19,7 @@ from loophom.chains import (
     div_chain,
     identity_chain,
 )
-from loophom.homology import det, homology, identity_matrix, mat_mul, smith_normal_form
+from loophom.homology import det, homology, mat_mul, smith_normal_form
 from loophom.permutations import (
     bij,
     compose,
@@ -33,7 +31,6 @@ from loophom.permutations import (
     inversions_at,
     invol,
     is_shuffle,
-    iter_compositions,
     point_sign,
     shuffle_transposition_test,
 )

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 
 from loophom.affine import (
     AffineSimplexMap,
-    as_point,
     compose,
     f_map,
     face_map,

@@ -2,9 +2,12 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophom.homology import homology, smith_normal_form
 from loophom.transform import (
@@ -19,13 +22,14 @@ from loophom.transform import (
     random_simplex_points,
     sampling_oracle,
     shuffle_expand,
+    subdivision_vector,
     symbolic_cancellation,
     term_matches_path,
     term_to_simplex,
     vanishing_sum_check,
 )
 from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
-from loophom.words import parse_word
+from loophom.words import parse_word, positivize
 
 X = ((1, 1),)
 A = ProductSimplex(2, ((1, 2), (1, 1)))
@@ -119,6 +123,15 @@ def test_nu_vector_rewrites_inverse_letters():
     # a trivial loop written with a cancelling pair evaluates like the
     # empty word
     assert nu_vector(parse_word("xX"), cx) == [0]
+    # an exponent other than +-1 is an error, not an inverse letter; so is
+    # a generator beyond the rank
+    cx = build_pair_complex(2, 2)
+    with pytest.raises(ValueError, match="exponent"):
+        nu_vector(((1, 2),), cx)
+    with pytest.raises(ValueError, match="exponent"):
+        nu_vector({((1, 1), (2, 2)): 1}, cx)
+    with pytest.raises(ValueError, match="out of range"):
+        nu_vector(((3, 1),), cx)
 
 
 def test_nu_chains_are_cycles():
@@ -186,6 +199,108 @@ def test_kernel_of_the_quotient_vanishes():
             combo[word] = combo.get(word, 0) + c
         coords = nu_eval(combo, n, g)
         assert not any(coords)
+
+
+# ---------------------------------------------------------------------------
+# The Magnus-matrix evaluation against the geometric subdivision.
+# ---------------------------------------------------------------------------
+
+DIFFERENTIAL_GRID = [
+    (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)
+]
+
+# subdivision_vector rewrites a word with k inverse letters into (n+1)^k
+# positive words and expands each into length^n terms; words over this many
+# terms are left out to keep the suite fast.  The seeded draws that remain
+# carry up to 3 inverse letters at n <= 2, 2 or 3 at n = 3 and 1 at n = 4.
+SHUFFLE_BUDGET = 5_000
+
+complex_for = lru_cache(maxsize=None)(build_pair_complex)
+
+
+def shuffle_terms(combo, n):
+    return sum(len(u) ** n for w in combo for u in positivize(w, n) if u)
+
+
+def random_word(rng, length, inverses, g):
+    exps = [1] * length
+    for p in rng.sample(range(length), inverses):
+        exps[p] = -1
+    return tuple((rng.randint(1, g), e) for e in exps)
+
+
+def assert_paths_agree(elt, cx):
+    vec = nu_vector(elt, cx)
+    assert vec == subdivision_vector(elt, cx), elt
+    return vec
+
+
+@pytest.mark.parametrize("n,g", DIFFERENTIAL_GRID)
+def test_nu_vector_matches_subdivision_seeded(n, g):
+    cx = complex_for(n, g)
+    rng = Random(1000 * n + g)
+    checked = 0
+    for length in range(8):
+        for inverses in range(min(3, length) + 1):
+            w = random_word(rng, length, inverses, g)
+            if shuffle_terms([w], n) <= SHUFFLE_BUDGET:
+                assert_paths_agree(w, cx)
+                checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("n,g", DIFFERENTIAL_GRID)
+def test_nu_vector_matches_subdivision_on_combinations(n, g):
+    cx = complex_for(n, g)
+    rng = Random(2000 * n + g)
+    zero = [0] * cx.rank(n)
+    assert assert_paths_agree((), cx) == zero
+    assert assert_paths_agree({}, cx) == zero
+    checked = 0
+    while checked < 4:
+        lu, lv = rng.randint(0, 3), rng.randint(1, 3)
+        u = random_word(rng, lu, rng.randint(0, min(1, lu)), g)
+        v = random_word(rng, lv, rng.randint(0, 1), g)
+        # inserting x x^-1 leaves the group element, hence the value, alike
+        cut, c = rng.randint(0, len(u)), rng.randint(1, g)
+        padded = u[:cut] + ((c, 1), (c, -1)) + u[cut:]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        combo = {}
+        for w, coeff in ((u, a - 7), (padded, 7), (v, b), (u + v, 0)):
+            combo[w] = combo.get(w, 0) + coeff
+        if shuffle_terms(combo, n) > SHUFFLE_BUDGET:
+            continue
+        expected = [a * x + b * y for x, y in zip(nu_vector(u, cx), nu_vector(v, cx))]
+        assert assert_paths_agree(combo, cx) == expected
+        assert assert_paths_agree({u: 5, padded: -5}, cx) == zero
+        checked += 1
+    # gamma * (1 - alpha)^(n+1) vanishes chain-wise: no degree <= n terms
+    gamma, alpha = random_word(rng, 2, 0, g), ((g, 1),)
+    kernel = {}
+    for j in range(n + 2):
+        word = gamma + alpha * j
+        kernel[word] = kernel.get(word, 0) + (-1) ** j * comb(n + 1, j)
+    assert assert_paths_agree(kernel, cx) == zero
+
+
+@st.composite
+def graded_words(draw):
+    n, g = draw(st.sampled_from(DIFFERENTIAL_GRID))
+    length = draw(st.integers(0, 7))
+    inverses = draw(st.integers(0, min(3, length)))
+    letters = draw(st.lists(st.integers(1, g), min_size=length, max_size=length))
+    inverted = set(draw(st.permutations(range(length)))[:inverses])
+    w = tuple((i, -1 if p in inverted else 1) for p, i in enumerate(letters))
+    return n, g, w
+
+
+@settings(deadline=None, max_examples=60)
+@given(graded_words())
+def test_nu_vector_matches_subdivision_property(case):
+    n, g, w = case
+    while shuffle_terms([w], n) > SHUFFLE_BUDGET:
+        w = w[:-1]
+    assert_paths_agree(w, complex_for(n, g))
 
 
 # ---------------------------------------------------------------------------
