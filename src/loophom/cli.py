@@ -91,9 +91,7 @@ class Report:
         return out
 
 
-def run_checks(
-    command: str, params: dict, checks: Iterable[Check], result: object | None = None
-) -> Report:
+def run_checks(command: str, params: dict, checks: Iterable[Check]) -> Report:
     t0 = time.perf_counter()
     cases = failures = 0
     witness = None
@@ -105,7 +103,7 @@ def run_checks(
                 witness = w or {}
     ms = int(round((time.perf_counter() - t0) * 1000))
     status = "pass" if failures == 0 else "fail"
-    return Report(command, params, status, cases, failures, ms, witness, result)
+    return Report(command, params, status, cases, failures, ms, witness)
 
 
 def emit_to_file_only(payload: object, path: str) -> None:

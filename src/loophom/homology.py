@@ -231,25 +231,24 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     below = cx.rank(d - 1) if d >= 1 else 0
     above = cx.rank(d + 1)
     # below degree 1 nothing constrains the cycles
-    md = [list(r) for r in cx.boundary_matrix(d)] if d >= 1 else []
+    md = cx.boundary_matrix(d) if d >= 1 else []
     if len(md) != below:
         raise ValueError("boundary matrix at d has the wrong shape")
-    md1 = [list(r) for r in cx.boundary_matrix(d + 1)]
+    md1 = cx.boundary_matrix(d + 1)
     if len(md1) != nd:
         raise ValueError("boundary matrix at d+1 has the wrong shape")
-    if below and nd and above:
-        square = mat_mul(md, md1, inner=nd)
-        if any(any(row) for row in square):
-            raise ValueError("not a chain complex: consecutive boundaries do not vanish")
 
     _, dd, _, vinv = _snf(md, below, nd)
     cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
     kernel_dim = nd - cycle_rank
 
+    # with U md V = D, md md1 = U^-1 D (Vinv md1); D is nonzero exactly on
+    # its first cycle_rank diagonal entries, so md md1 = 0 if and only if
+    # the first cycle_rank rows of Vinv md1 vanish
     bdry = mat_mul(vinv, md1, inner=nd)
     for i in range(cycle_rank):
         if any(bdry[i]):
-            raise ValueError("not a chain complex: a boundary fails to be a cycle")
+            raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     projected = bdry[cycle_rank:]
     uprime, dprime, _, _ = _snf(projected, kernel_dim, above)
     diag = tuple(

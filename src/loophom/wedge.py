@@ -14,6 +14,10 @@ out (written Y here) is the union of: first component at the basepoint,
 last component at the basepoint, and two consecutive components equal.
 Chain groups are spanned by the nondegenerate simplices outside Y, and the
 boundary drops faces that leave that spanning set.
+
+Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
+stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
+nonzeros per basis cell.  The dense matrix is built only when asked for.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .words import LETTER_POOL
 # a circle cell: None is the basepoint simplex, (generator, jump) an
 # edge degeneracy
 Cell = Optional[tuple[int, int]]
+# a sparse boundary column: its sorted (row, coefficient) nonzeros
+Column = tuple[tuple[int, int], ...]
 
 
 def cell_face(cell: Cell, d: int, i: int) -> Cell:
@@ -135,14 +141,17 @@ def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
 
 @dataclass(frozen=True)
 class PairComplex:
-    """Relative chain complex data: per-dimension bases and boundary
-    matrices (rows = dimension d-1 basis, columns = dimension d basis)."""
+    """Relative chain complex data: per-dimension bases and boundaries.
+
+    ``boundaries[d]`` has one entry per dimension-d basis cell: the sorted
+    ``(row, coefficient)`` nonzeros of its boundary, rows indexed by the
+    dimension d-1 basis.  ``boundaries[0]`` is empty."""
 
     n: int
     g: int
     d_max: int
     bases: tuple[tuple[ProductSimplex, ...], ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]  # [d] = matrix of boundary at d
+    boundaries: tuple[tuple[Column, ...], ...]
 
     def basis(self, d: int) -> tuple[ProductSimplex, ...]:
         return self.bases[d] if 0 <= d <= self.d_max else ()
@@ -151,19 +160,23 @@ class PairComplex:
         return len(self.basis(d))
 
     def boundary_matrix(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """The matrix of the boundary leaving dimension d; rows indexed by
-        the dimension d-1 basis.  Zero-shaped when out of range."""
-        if 1 <= d <= self.d_max:
-            return self.boundaries[d]
-        rows = self.rank(d - 1)
-        return tuple(() for _ in range(rows))
+        """Dense matrix of the boundary leaving dimension d, built from the
+        stored columns; rows indexed by the dimension d-1 basis.
+        Zero-shaped when out of range."""
+        columns = self.boundaries[d] if 1 <= d <= self.d_max else ()
+        dense = [[0] * len(columns) for _ in range(self.rank(d - 1))]
+        for c, column in enumerate(columns):
+            for r, x in column:
+                dense[r][c] = x
+        return tuple(map(tuple, dense))
 
 
 def boundary_of_simplex(
     s: ProductSimplex, basis_index: dict[ProductSimplex, int]
-) -> dict[int, int]:
-    """Indices and coefficients of the alternating face sum, keeping only
-    faces that stay in the spanning set (nondegenerate, outside Y)."""
+) -> Column:
+    """Sorted (index, coefficient) nonzeros of the alternating face sum,
+    keeping only faces that stay in the spanning set (nondegenerate,
+    outside Y)."""
     out: dict[int, int] = {}
     for i in range(s.dim + 1):
         t = s.face(i)
@@ -175,31 +188,19 @@ def boundary_of_simplex(
             out[idx] = c
         else:
             del out[idx]
-    return out
+    return tuple(sorted(out.items()))
 
 
-def build_pair_complex(n: int, g: int, d_max: int | None = None) -> PairComplex:
-    """Bases and boundary matrices up to dimension d_max (default n+1)."""
+def build_pair_complex(n: int, g: int) -> PairComplex:
+    """Bases and sparse boundary columns up to dimension n+1."""
     if n < 1 or g < 1:
         raise ValueError("need n >= 1 and g >= 1")
-    if d_max is None:
-        d_max = n + 1
+    d_max = n + 1
     bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
-    boundaries: list[tuple[tuple[int, ...], ...]] = [()]
+    boundaries: list[tuple[Column, ...]] = [()]
     for d in range(1, d_max + 1):
-        rows = len(bases[d - 1])
         index = {s: i for i, s in enumerate(bases[d - 1])}
-        cols = []
-        for s in bases[d]:
-            col = [0] * rows
-            for r, c in boundary_of_simplex(s, index).items():
-                col[r] = c
-            cols.append(col)
-        # store row-major: boundary[r][c]
-        matrix = tuple(
-            tuple(cols[c][r] for c in range(len(cols))) for r in range(rows)
-        )
-        boundaries.append(matrix)
+        boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
     return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
 
 
@@ -227,12 +228,8 @@ def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
             [None if c is None else [alphabet[c[0] - 1], c[1]] for c in s.components]
             for s in cx.basis(d)
         ]
-        triplets = []
-        if d >= 1:
-            matrix = cx.boundary_matrix(d)
-            for r, row in enumerate(matrix):
-                for c, value in enumerate(row):
-                    if value:
-                        triplets.append([r, c, value])
+        triplets = sorted(  # row-major order
+            [r, c, x] for c, column in enumerate(cx.boundaries[d]) for r, x in column
+        )
         dims.append({"d": d, "basis": basis_json, "boundary": triplets})
     return {"n": cx.n, "g": cx.g, "dims": dims}

@@ -192,11 +192,14 @@ def positivize(w: Word, n: int) -> WordCombo:
     Each inverse letter is replaced by sum_{j<=n} (1-x)^j, whose x^m
     coefficient is (-1)^m C(n+1, m+1); the replacement differs from the
     inverse by a right multiple of (1-x)^{n+1}, hence is invisible at
-    degree n.  The expansion equality is rechecked before returning.
+    degree n.  A positive word comes back as itself; otherwise the
+    expansion equality is rechecked before returning.
 
     >>> positivize(((1, -1),), 1)
     {(): 2, ((1, 1),): -1}
     """
+    if all(e == 1 for _, e in w):
+        return {w: 1}
     combo: WordCombo = {(): 1}
     for i, e in w:
         if e == 1:

@@ -416,6 +416,78 @@ def test_mat_mul_matches_reference_property(data, inner):
     assert mat_mul(a, b, inner=inner) == reference_mat_mul(a, b, inner=inner)
 
 
+def random_chain_pair(rng: random.Random, below: int, nd: int, above: int):
+    """Random (A, B) with A B = 0: A = X [I 0] W^-1 and B = W [0; I] Y for a
+    random unimodular W, so the columns of B lie in the kernel of A."""
+    w, winv = identity_matrix(nd), identity_matrix(nd)
+    for _ in range(2 * nd if nd > 1 else 0):
+        i, j = rng.sample(range(nd), 2)
+        q = rng.choice((1, -1, 2))
+        for row in w:  # W <- W (I + q e_ij)
+            row[j] += q * row[i]
+        winv[i] = [x - q * y for x, y in zip(winv[i], winv[j])]
+    k = rng.randint(0, nd)
+    x = random_sparse_matrix(rng, below, k)
+    y = random_sparse_matrix(rng, nd - k, above)
+    # written out, since a factor with no rows hides the product's width
+    a = [[sum(xr[t] * winv[t][c] for t in range(k)) for c in range(nd)] for xr in x]
+    b = [[sum(wr[k + t] * y[t][c] for t in range(nd - k)) for c in range(above)]
+         for wr in w]
+    return a, b
+
+
+def perturb_one_entry(rng: random.Random, a: Matrix, b: Matrix) -> None:
+    """Add a small nonzero amount to one entry of a or b, if either has one."""
+    targets = [m for m in (a, b) if m and m[0]]
+    if targets:
+        m = rng.choice(targets)
+        r = rng.randrange(len(m))
+        m[r][rng.randrange(len(m[r]))] += rng.choice((1, -1, 2, -3))
+
+
+def assert_raises_iff_product_nonzero(cx: StubComplex, d: int) -> bool:
+    product = reference_mat_mul(
+        cx.boundary_matrix(d), cx.boundary_matrix(d + 1), inner=cx.rank(d)
+    )
+    bad = any(any(row) for row in product)
+    if bad:
+        with pytest.raises(ValueError, match="not a chain complex"):
+            homology(cx, d)
+    else:
+        homology(cx, d)
+    return bad
+
+
+def test_chain_check_rejects_exactly_nonzero_products_on_random_pairs():
+    rng = random.Random(5150)
+    outcomes = []
+    for trial in range(300):
+        below, nd, above = (rng.randint(0, 7) for _ in range(3))
+        a, b = random_chain_pair(rng, below, nd, above)
+        assert not any(any(row) for row in reference_mat_mul(a, b, inner=nd))
+        if trial % 5:
+            perturb_one_entry(rng, a, b)
+        cx = StubComplex({0: below, 1: nd, 2: above}, {1: a, 2: b})
+        outcomes.append(assert_raises_iff_product_nonzero(cx, 1))
+    assert 50 < sum(outcomes) < 250  # both verdicts are exercised
+
+
+def test_chain_check_rejects_exactly_nonzero_products_on_real_boundaries():
+    rng = random.Random(8128)
+    outcomes = []
+    for n, g in [(2, 2), (3, 1), (3, 2)]:
+        cx = build_pair_complex(n, g)
+        for d in range(1, n + 1):
+            for _ in range(8):
+                a = [list(r) for r in cx.boundary_matrix(d)]
+                b = [list(r) for r in cx.boundary_matrix(d + 1)]
+                perturb_one_entry(rng, a, b)
+                ranks = {e: cx.rank(e) for e in (d - 1, d, d + 1)}
+                stub = StubComplex(ranks, {d: a, d + 1: b})
+                outcomes.append(assert_raises_iff_product_nonzero(stub, d))
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
 # sha256 of repr(astuple(homology(cx, d))) for d = 0..n+1, recorded with the
 # dense reduction: every field, transforms included, must stay bit-identical
 HOMOLOGY_PINS = {

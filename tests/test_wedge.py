@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from hashlib import sha256
 
 import pytest
 
@@ -182,6 +184,36 @@ def test_boundary_matrix_shapes():
     beyond = cx.boundary_matrix(cx.d_max + 1)
     assert len(beyond) == cx.rank(cx.d_max)
     assert all(row == () for row in beyond)
+
+
+def test_boundaries_are_stored_as_sorted_nonzero_columns():
+    for n, g in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]:
+        cx = build_pair_complex(n, g)
+        assert cx.boundaries[0] == ()
+        for d in range(1, cx.d_max + 1):
+            assert len(cx.boundaries[d]) == cx.rank(d)
+            for column in cx.boundaries[d]:
+                rows = [r for r, _ in column]
+                assert rows == sorted(set(rows)), (n, g, d, column)
+                assert all(0 <= r < cx.rank(d - 1) for r in rows)
+                assert all(isinstance(x, int) and x for _, x in column)
+
+
+# sha256 of json.dumps(complex_to_json(build_pair_complex(n, g)),
+# sort_keys=True), recorded when the boundaries were stored as dense rows
+EXPORT_PINS = {
+    (2, 2): "b7f7cc2bbbb05cc669d1522b3dcef0b13c4293c1fa02ea3c5f565f47dc0251f6",
+    (3, 2): "453ff72eb40af0ce91eec98d0990396c4bba3335a7c7ed07b3ed9f126608332c",
+    (3, 3): "cdea2eeb1c37d75324198cfdcbef591440dd071c300d31cce6376857b2d25062",
+    (4, 2): "728334dc2fa767d0b2e6e2f5f35c29913a184e1de3123050dd8cd4f8f84398b5",
+    (4, 3): "301f0ef09fd75ed57044303f9d610682449eff2cf53a7ef91e51843f8ce7c6d8",
+}
+
+
+@pytest.mark.parametrize("n, g", sorted(EXPORT_PINS))
+def test_complex_to_json_matches_pins(n, g):
+    text = json.dumps(complex_to_json(build_pair_complex(n, g)), sort_keys=True)
+    assert sha256(text.encode()).hexdigest() == EXPORT_PINS[n, g]
 
 
 # ---------------------------------------------------------------------------
