@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 
 from loophom.homology import homology
-from loophom.transform import nu_eval
+from loophom.transform import nu_vector
 from loophom.wedge import build_pair_complex
 
 
@@ -39,9 +39,7 @@ def run(max_n: int, max_m: int) -> None:
     for n in range(1, max_n + 1):
         cx = build_pair_complex(n, 1)
         summary = homology(cx, n)
-        values = [
-            nu_eval(x * m, n, 1, cx, summary) for m in range(max_m + 1)
-        ]
+        values = [summary.cycle_class(nu_vector(x * m, cx)) for m in range(max_m + 1)]
         print(f"degree n = {n}  (H_{n} free of rank {summary.rank})")
         print(f"  value(x^m), m = 0..{max_m}:")
         print("    " + "  ".join(str(list(v)) for v in values))

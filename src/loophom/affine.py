@@ -17,7 +17,8 @@ Conventions that differ from the most common ones and are load-bearing:
 * the degree-k subdivision piece for a pair ``(v, sigma)`` is
   ``x |-> (v + sigma* x) / k`` where ``(sigma* x)_p = x_{sigma(p)}``.
 
-Everything is computed in ``fractions.Fraction``; no floats appear.
+Coordinates are exact -- integers or ``fractions.Fraction`` -- and are
+kept as given: no floats appear, and a map never re-coerces its vertices.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ Point = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def as_point(coords: Sequence) -> Point:
-    """Coerce a coordinate sequence to an exact-rational point."""
-    return tuple(Fraction(c) for c in coords)
 
 
 def vertex_E(n: int, i: int) -> Point:
@@ -67,13 +63,11 @@ class AffineSimplexMap:
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("an affine map needs at least one vertex image")
-        norm = tuple(as_point(v) for v in self.vertices)
-        for v in norm:
+        for v in self.vertices:
             if len(v) != self.codomain_dim:
                 raise ValueError(
                     f"vertex image {v} does not live in R^{self.codomain_dim}"
                 )
-        object.__setattr__(self, "vertices", norm)
 
     @property
     def domain_dim(self) -> int:
@@ -90,7 +84,6 @@ class AffineSimplexMap:
             raise ValueError(f"expected a point of D^{q}, got {len(x)} coordinates")
         out = list(self.vertices[0])
         for j, t in enumerate(x, start=1):
-            t = Fraction(t)
             if not t:
                 continue
             hi = self.vertices[q - j + 1]

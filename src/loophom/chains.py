@@ -134,11 +134,6 @@ def identity_chain(n: int) -> FormalChain:
     return chain_of(identity_map(n))
 
 
-def augmentation(x: FormalChain) -> int:
-    """Sum of coefficients."""
-    return sum(x.terms.values())
-
-
 def chain_compose(g: FormalChain, f: FormalChain) -> FormalChain:
     """Bilinear composition g o f (f applied first)."""
     if f.codomain_dim != g.domain_dim:

@@ -287,27 +287,28 @@ def theorem_b_checks(
 ) -> Iterator[Check]:
     """One vanishing sum for the given words, or the battery: every gamma of
     length <= 2 against every (n+1)-tuple of single letters."""
+    alphabet = make_alphabet([] if alphas is None else [gamma] + alphas, genus)
+    if alphas is not None and len(alphas) != n + 1:  # before the costly context
+        raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
+    cx = build_pair_complex(n, genus)
+    summary = homology(cx, n)
     if alphas is not None:
-        alphabet = make_alphabet([gamma] + alphas, genus)
         ok, coords = vanishing_sum_check(
             parse_word(gamma, alphabet),
             [parse_word(t, alphabet) for t in alphas],
-            n,
-            genus,
+            cx,
+            summary,
         )
         yield ok, None if ok else {"class": list(coords)}
         return
-    alphabet = make_alphabet([], genus)
     letters = [((i, 1),) for i in range(1, genus + 1)]
     gammas: list[tuple] = [()]
     for length in (1, 2):
         for combo in itertools.product(letters, repeat=length):
             gammas.append(sum(combo, ()))
-    cx = build_pair_complex(n, genus)
-    summary = homology(cx, n)
     for base in gammas:
         for loops in itertools.product(letters, repeat=n + 1):
-            ok, coords = vanishing_sum_check(base, list(loops), n, genus, cx, summary)
+            ok, coords = vanishing_sum_check(base, list(loops), cx, summary)
             witness = None
             if not ok:
                 witness = {
@@ -341,9 +342,6 @@ def naturality_checks(max_n: int) -> Iterator[Check]:
                         ok = naturality_check(
                             gen_map,
                             w,
-                            n,
-                            g_src,
-                            g_tgt,
                             complexes[n, g_src],
                             complexes[n, g_tgt],
                             summaries[n, g_tgt],

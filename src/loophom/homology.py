@@ -206,15 +206,18 @@ class HomologySummary:
     _uprime: tuple[tuple[int, ...], ...]
     _bdry_diag: tuple[int, ...]
 
-    def is_cycle(self, z: Sequence[int]) -> bool:
+    def _reduced(self, z: Sequence[int]) -> list[int]:
+        """Vinv z, for a chain vector z of this degree."""
         if len(z) != self._ambient:
             raise ValueError(f"expected a vector of length {self._ambient}")
-        y = mat_vec(self._vinv, z)
-        return not any(y[: self._cycle_rank])
+        return mat_vec(self._vinv, z)
+
+    def is_cycle(self, z: Sequence[int]) -> bool:
+        return not any(self._reduced(z)[: self._cycle_rank])
 
     def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a relative cycle in this degree's homology."""
-        y = mat_vec(self._vinv, z)
+        y = self._reduced(z)
         if any(y[: self._cycle_rank]):
             raise ValueError("vector is not a cycle")
         kernel_coords = y[self._cycle_rank:]

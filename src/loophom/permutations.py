@@ -7,8 +7,7 @@ block and face formulas read the same way they are usually written.
 Beyond the basics (composition, inverse, sign) the module provides:
 
 * block shuffles of a composition ``(n_1, ..., n_k)`` -- permutations
-  increasing on each consecutive block -- and the criterion telling when an
-  adjacent swap leaves the shuffle set;
+  increasing on each consecutive block;
 * the level-set pairs ``(v, sigma)`` indexing the pieces of the degree-k
   edgewise subdivision: ``v`` a nondecreasing vector in ``[0, k-1]^n`` and
   ``sigma`` a shuffle of its level-set sizes;
@@ -28,15 +27,6 @@ from typing import Iterable, Iterator, Sequence
 Perm = tuple[int, ...]
 # A point of Z^n x S_n x [0, n]: (integer vector, permutation, face index).
 InvolPoint = tuple[tuple[int, ...], Perm, int]
-
-
-def identity(n: int) -> Perm:
-    """The identity of S_n.
-
-    >>> identity(3)
-    (1, 2, 3)
-    """
-    return tuple(range(1, n + 1))
 
 
 def compose(s: Perm, t: Perm) -> Perm:
@@ -259,23 +249,6 @@ def enumerate_shuffles(parts: Sequence[int]) -> list[Perm]:
                 yield chosen + tail
 
     return sorted(walk(tuple(parts), tuple(range(1, n + 1))))
-
-
-def shuffle_transposition_test(parts: Sequence[int], sigma: Perm, i: int) -> bool:
-    """Whether the swap s_{i,i+1} o sigma leaves the shuffles of ``parts``.
-
-    Evaluated by the positional criterion: the swap exits exactly when
-    sigma^{-1}(i) is not a partial sum of the composition and
-    sigma^{-1}(i+1) = sigma^{-1}(i) + 1.
-    """
-    if not is_shuffle(parts, sigma):
-        raise ValueError("sigma is not a shuffle of the given composition")
-    n = len(sigma)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range for [1, {n - 1}]")
-    partial_sums = set(itertools.accumulate(parts))
-    pos = sigma.index(i) + 1  # sigma^{-1}(i)
-    return pos not in partial_sums and sigma.index(i + 1) + 1 == pos + 1
 
 
 # ---------------------------------------------------------------------------

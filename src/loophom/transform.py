@@ -47,7 +47,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil
 from random import Random
 from typing import Mapping, Sequence
 
@@ -210,32 +210,31 @@ def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
     return [sum(c * expansion.get(m, 0) for m, c in row) for row in _rows(cx.n, cx.g)]
 
 
-def nu_eval(
-    elt: Word | Mapping[Word, int],
-    n: int,
-    g: int,
-    cx: PairComplex | None = None,
-    summary: HomologySummary | None = None,
-) -> tuple[int, ...]:
+def _top_degree(cx: PairComplex, summary: HomologySummary) -> int:
+    """The power n of cx, once summary is known to be its degree-n homology."""
+    if summary.degree != cx.n:
+        raise ValueError(f"degree-{summary.degree} homology given for power {cx.n}")
+    return cx.n
+
+
+def nu_eval(elt: Word | Mapping[Word, int], n: int, g: int) -> tuple[int, ...]:
     """Homology coordinates of the transformation applied to a word (or an
-    integer combination of words)."""
-    if cx is None:
-        cx = build_pair_complex(n, g)
-    if summary is None:
-        summary = homology(cx, n)
-    return summary.cycle_class(nu_vector(elt, cx))
+    integer combination of words) at degree n for the rank-g wedge; builds
+    the complex and its top-degree homology, so a caller evaluating many
+    words reuses those through `nu_vector` and `cycle_class` instead."""
+    cx = build_pair_complex(n, g)
+    return homology(cx, n).cycle_class(nu_vector(elt, cx))
 
 
 def vanishing_sum_check(
     gamma: Word,
     alphas: Sequence[Word],
-    n: int,
-    g: int,
-    cx: PairComplex | None = None,
-    summary: HomologySummary | None = None,
+    cx: PairComplex,
+    summary: HomologySummary,
 ) -> tuple[bool, tuple[int, ...]]:
     """Evaluate sum over subsets I of {0..n} of (-1)^{|I|} applied to
-    gamma * prod_{i in I} alpha_i (ascending), in homology.
+    gamma * prod_{i in I} alpha_i (ascending), in the degree-n homology
+    `summary` of the pair complex `cx`, n = cx.n.
 
     The summed combination equals gamma * prod_i (1 - alpha_i), a right
     multiple of n+1 augmentation factors, so the result must be zero.  Its
@@ -245,6 +244,7 @@ def vanishing_sum_check(
     equal `nu_vector`'s.  The coordinates are returned alongside for
     reporting.
     """
+    n = _top_degree(cx, summary)
     if len(alphas) != n + 1:
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
     combo: WordCombo = {}
@@ -259,10 +259,6 @@ def vanishing_sum_check(
             combo[word] = c2
         else:
             combo.pop(word, None)
-    if cx is None:
-        cx = build_pair_complex(n, g)
-    if summary is None:
-        summary = homology(cx, n)
     vec = subdivision_vector(combo, cx)
     coords = summary.cycle_class(vec)
     return not any(coords) and vec == nu_vector(combo, cx), coords
@@ -436,59 +432,22 @@ def push_chain_vector(
 def naturality_check(
     gen_map: Mapping[int, int | None],
     w: Word,
-    n: int,
-    g_src: int,
-    g_tgt: int,
-    src: PairComplex | None = None,
-    tgt: PairComplex | None = None,
-    tgt_summary: HomologySummary | None = None,
+    src: PairComplex,
+    tgt: PairComplex,
+    tgt_summary: HomologySummary,
 ) -> bool:
-    """Evaluate-then-push equals push-then-evaluate, in target homology."""
+    """Evaluate-then-push equals push-then-evaluate, in target homology:
+    `src` and `tgt` are the pair complexes of one power n over the source
+    and target wedges, `tgt_summary` the degree-n homology of `tgt`."""
+    if src.n != tgt.n:
+        raise ValueError(f"source power {src.n} and target power {tgt.n} differ")
+    n = _top_degree(tgt, tgt_summary)
     for i, target in gen_map.items():
-        if not 1 <= i <= g_src:
+        if not 1 <= i <= src.g:
             raise ValueError(f"source generator {i} out of range")
-        if target is not None and not 1 <= target <= g_tgt:
+        if target is not None and not 1 <= target <= tgt.g:
             raise ValueError(f"target generator {target} out of range")
-    if src is None:
-        src = build_pair_complex(n, g_src)
-    if tgt is None:
-        tgt = build_pair_complex(n, g_tgt)
-    if tgt_summary is None:
-        tgt_summary = homology(tgt, n)
     lhs = tgt_summary.cycle_class(nu_vector(push_word(w, gen_map), tgt))
     pushed = push_chain_vector(src, tgt, n, nu_vector(w, src), gen_map)
     rhs = tgt_summary.cycle_class(pushed)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# The matrix of the transformation on expansion coordinates.
-# ---------------------------------------------------------------------------
-
-
-def nu_basis_matrix(
-    n: int,
-    cx: PairComplex | None = None,
-    summary: HomologySummary | None = None,
-) -> list[list[int]]:
-    """For the rank-1 group: columns are the homology coordinates of the
-    combinations expanding to the pure powers X^0, X^1, ..., X^n (the
-    m-th column evaluates (x - 1)^m, whose expansion is exactly X^m).
-
-    Column 0 is the empty word's value, which vanishes; the remaining n
-    columns have full rank n when the transformation is faithful on the
-    quotient coordinates.
-    """
-    if cx is None:
-        cx = build_pair_complex(n, 1)
-    if summary is None:
-        summary = homology(cx, n)
-    x = ((1, 1),)
-    cols = []
-    for m in range(n + 1):
-        combo: WordCombo = {}
-        for j in range(m + 1):
-            combo[x * j] = (-1) ** (m - j) * comb(m, j)
-        cols.append(list(nu_eval(combo, n, 1, cx, summary)))
-    rows = len(cols[0]) if cols else 0
-    return [[cols[c][r] for c in range(len(cols))] for r in range(rows)]

@@ -26,9 +26,8 @@ independent witness in the theorem-b suite) assume positive words.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 Word = tuple[tuple[int, int], ...]
 Monomial = tuple[int, ...]
@@ -52,6 +51,8 @@ def make_alphabet(strings: Iterable[str], g: int) -> str:
     >>> make_alphabet(["y", "xY"], 2)
     'xy'
     """
+    if g > len(LETTER_POOL):
+        raise ValueError(f"rank {g} exceeds the {len(LETTER_POOL)} letters words can name")
     strings = list(strings)
     for s in strings:
         if not all(c.isascii() and c.isalpha() for c in s):
@@ -221,38 +222,3 @@ def positivize(w: Word, n: int) -> WordCombo:
     if combo_magnus(combo, n) != magnus(w, n):
         raise AssertionError(f"positivize broke the degree-{n} expansion of {w}")
     return combo
-
-
-# ---------------------------------------------------------------------------
-# Coordinates on the degree-<= n monomial basis.
-# ---------------------------------------------------------------------------
-
-
-def monomial_basis(n: int, g: int) -> list[Monomial]:
-    """Monomials of degree <= n in g letters: by degree, then lexicographic.
-
-    >>> monomial_basis(2, 1)
-    [(), (1,), (1, 1)]
-    """
-    out: list[Monomial] = []
-    for d in range(n + 1):
-        out.extend(itertools.product(range(1, g + 1), repeat=d))
-    return out
-
-
-def fn_basis_coords(
-    combo: Mapping[Word, int] | Sequence[tuple[Word, int]] | Word,
-    n: int,
-    g: int,
-) -> tuple[int, ...]:
-    """Coordinates of a combination of words on the monomial basis."""
-    if isinstance(combo, tuple):
-        combo = {combo: 1}
-    elif not isinstance(combo, Mapping):
-        combo = dict(combo)
-    t = combo_magnus(combo, n, g)
-    coords = tuple(t.get(m, 0) for m in monomial_basis(n, g))
-    leftovers = set(t) - set(monomial_basis(n, g))
-    if leftovers:
-        raise ValueError(f"expansion uses out-of-basis monomials: {leftovers}")
-    return coords

@@ -1,18 +1,32 @@
-"""Independent reference implementations the tests compare the library with.
+"""Reference implementations and helpers that only the tests use.
 
-Each function restates a definition directly (pointwise, by membership or
+Most functions restate a definition directly (pointwise, by membership or
 by brute force), so that agreement with the library's construction is a
-check rather than a tautology.  None of them is needed to compute anything.
+check rather than a tautology.  The rest are conveniences built on the
+library -- coordinates, the rank-1 evaluation matrix, a cached top-degree
+context.  None of them is needed to compute anything.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from math import comb
+from typing import Mapping, Sequence
 
-from loophom.affine import AffineSimplexMap, Point, as_point
+from loophom.affine import AffineSimplexMap, Point
+from loophom.chains import FormalChain
+from loophom.homology import HomologySummary, homology
 from loophom.permutations import Perm, is_shuffle, level_sizes
-from loophom.words import Word
+from loophom.transform import nu_eval
+from loophom.wedge import PairComplex, build_pair_complex
+from loophom.words import Monomial, Word, WordCombo, combo_magnus
+
+
+def as_point(coords: Sequence) -> Point:
+    """Coerce a coordinate sequence to an exact-rational point."""
+    return tuple(Fraction(c) for c in coords)
 
 
 def in_simplex(x: Sequence[Fraction]) -> bool:
@@ -82,3 +96,89 @@ def reduce_word(w: Word) -> Word:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+def identity(n: int) -> Perm:
+    """The identity of S_n.
+
+    >>> identity(3)
+    (1, 2, 3)
+    """
+    return tuple(range(1, n + 1))
+
+
+def shuffle_transposition_test(parts: Sequence[int], sigma: Perm, i: int) -> bool:
+    """Whether the swap s_{i,i+1} o sigma leaves the shuffles of ``parts``.
+
+    Evaluated by the positional criterion: the swap exits exactly when
+    sigma^{-1}(i) is not a partial sum of the composition and
+    sigma^{-1}(i+1) = sigma^{-1}(i) + 1.
+    """
+    if not is_shuffle(parts, sigma):
+        raise ValueError("sigma is not a shuffle of the given composition")
+    n = len(sigma)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"index {i} out of range for [1, {n - 1}]")
+    partial_sums = set(itertools.accumulate(parts))
+    pos = sigma.index(i) + 1  # sigma^{-1}(i)
+    return pos not in partial_sums and sigma.index(i + 1) + 1 == pos + 1
+
+
+def augmentation(x: FormalChain) -> int:
+    """Sum of coefficients."""
+    return sum(x.terms.values())
+
+
+def monomial_basis(n: int, g: int) -> list[Monomial]:
+    """Monomials of degree <= n in g letters: by degree, then lexicographic.
+
+    >>> monomial_basis(2, 1)
+    [(), (1,), (1, 1)]
+    """
+    out: list[Monomial] = []
+    for d in range(n + 1):
+        out.extend(itertools.product(range(1, g + 1), repeat=d))
+    return out
+
+
+def fn_basis_coords(
+    combo: Mapping[Word, int] | Sequence[tuple[Word, int]] | Word,
+    n: int,
+    g: int,
+) -> tuple[int, ...]:
+    """Coordinates of a combination of words on the monomial basis."""
+    if isinstance(combo, tuple):
+        combo = {combo: 1}
+    elif not isinstance(combo, Mapping):
+        combo = dict(combo)
+    t = combo_magnus(combo, n, g)
+    coords = tuple(t.get(m, 0) for m in monomial_basis(n, g))
+    leftovers = set(t) - set(monomial_basis(n, g))
+    if leftovers:
+        raise ValueError(f"expansion uses out-of-basis monomials: {leftovers}")
+    return coords
+
+
+@lru_cache(maxsize=None)
+def context(n: int, g: int) -> tuple[PairComplex, HomologySummary]:
+    """The pair complex of the rank-g wedge at power n and its degree-n
+    homology: what `vanishing_sum_check` and `naturality_check` take."""
+    cx = build_pair_complex(n, g)
+    return cx, homology(cx, n)
+
+
+def nu_basis_matrix(n: int) -> list[list[int]]:
+    """For the rank-1 group: columns are the homology coordinates of the
+    combinations expanding to the pure powers X^0, X^1, ..., X^n (the
+    m-th column evaluates (x - 1)^m, whose expansion is exactly X^m).
+
+    Column 0 is the empty word's value, which vanishes; the remaining n
+    columns have full rank n when the transformation is faithful on the
+    quotient coordinates.
+    """
+    x = ((1, 1),)
+    cols = []
+    for m in range(n + 1):
+        combo: WordCombo = {x * j: (-1) ** (m - j) * comb(m, j) for j in range(m + 1)}
+        cols.append(nu_eval(combo, n, 1))
+    return [list(row) for row in zip(*cols)]

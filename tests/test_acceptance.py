@@ -32,11 +32,9 @@ from loophom.permutations import (
     invol,
     is_shuffle,
     point_sign,
-    shuffle_transposition_test,
 )
 from loophom.transform import (
     naturality_check,
-    nu_basis_matrix,
     nu_eval,
     nu_vector,
     random_simplex_points,
@@ -45,6 +43,7 @@ from loophom.transform import (
     vanishing_sum_check,
 )
 from loophom.wedge import ProductSimplex, build_pair_complex
+from oracles import context, nu_basis_matrix, shuffle_transposition_test
 
 
 def reported(label):
@@ -238,13 +237,9 @@ def test_criterion_09_alternating_sums_vanish():
             for combo in itertools.product(letters, repeat=length):
                 gammas.append(sum(combo, ()))
         for n in (1, 2, 3):
-            cx = build_pair_complex(n, g)
-            summary = homology(cx, n)
             for gamma in gammas:
                 for alphas in itertools.product(letters, repeat=n + 1):
-                    ok, coords = vanishing_sum_check(
-                        gamma, list(alphas), n, g, cx, summary
-                    )
+                    ok, coords = vanishing_sum_check(gamma, list(alphas), *context(n, g))
                     assert ok, (g, n, gamma, alphas, coords)
 
 
@@ -261,7 +256,7 @@ def test_criterion_10_homology_rank_and_matrix():
         cx = build_pair_complex(n, 1)
         summary = homology(cx, n)
         assert summary.rank == n, n
-        mat = nu_basis_matrix(n, cx, summary)
+        mat = nu_basis_matrix(n)
         assert len(mat) == n and len(mat[0]) == n + 1
         assert all(row[0] == 0 for row in mat), n
         _, d, _ = smith_normal_form([row[1:] for row in mat])
@@ -284,9 +279,9 @@ def test_criterion_11_value_pins():
     assert nu_vector(x, cx) == [1, 0]
     assert nu_vector(x * 2, cx) == [3, -1]
     assert nu_vector(x * 3, cx) == [6, -3]
-    assert nu_eval(x, 2, 1, cx) == (1, 0)
-    assert nu_eval(x * 2, 2, 1, cx) == (3, -1)
-    assert nu_eval(x * 3, 2, 1, cx) == (6, -3)
+    assert nu_eval(x, 2, 1) == (1, 0)
+    assert nu_eval(x * 2, 2, 1) == (3, -1)
+    assert nu_eval(x * 3, 2, 1) == (6, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +292,6 @@ def test_criterion_11_value_pins():
 @reported("criterion 12 naturality")
 def test_criterion_12_naturality():
     ranks = (1, 2)
-    complexes = {}
-    summaries = {}
-    for n in (1, 2):
-        for g in ranks:
-            complexes[n, g] = build_pair_complex(n, g)
-            summaries[n, g] = homology(complexes[n, g], n)
     for n in (1, 2):
         for g_src in ranks:
             words = [
@@ -316,14 +305,7 @@ def test_criterion_12_naturality():
                     gen_map = dict(enumerate(images, start=1))
                     for w in words:
                         assert naturality_check(
-                            gen_map,
-                            w,
-                            n,
-                            g_src,
-                            g_tgt,
-                            complexes[n, g_src],
-                            complexes[n, g_tgt],
-                            summaries[n, g_tgt],
+                            gen_map, w, context(n, g_src)[0], *context(n, g_tgt)
                         ), (gen_map, w, n)
 
 

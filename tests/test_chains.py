@@ -17,7 +17,6 @@ from loophom.affine import (
 )
 from loophom.chains import (
     FormalChain,
-    augmentation,
     boundary_chain,
     build_homotopy_L,
     chain_compose,
@@ -28,7 +27,7 @@ from loophom.chains import (
     zero_chain,
 )
 from loophom.permutations import enumerate_ens, invol, point_sign
-from oracles import constant_map
+from oracles import augmentation, constant_map
 
 F = Fraction
 

@@ -158,6 +158,10 @@ def test_usage_errors_exit_2(capsys):
         )
         == 2
     )
+    # one letter per generator: rank 27 has no alphabet
+    assert cli.main(["export-complex", "--genus", "27", "--n", "1"]) == 2
+    assert cli.main(["nu", "--genus", "27", "--n", "1", "--word", "x"]) == 2
+    assert cli.main(["verify", "theorem-b", "--genus", "27"]) == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "bogus-suite"])
@@ -173,6 +177,15 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["verify", "theorem-b", "--gamma", "y"])
     assert exc.value.code == 2
     assert "--gamma needs --alphas" in capsys.readouterr().err
+
+
+def test_theorem_b_rejects_a_wrong_loop_count_before_building(capsys, monkeypatch):
+    def refuse(n, g):
+        raise AssertionError("complex built for a malformed request")
+
+    monkeypatch.setattr(cli, "build_pair_complex", refuse)
+    assert cli.main(["verify", "theorem-b", "--n", "4", "--alphas", "x"]) == 2
+    assert "need exactly 5 loops, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

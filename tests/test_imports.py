@@ -1,5 +1,6 @@
-"""Every import in the package, the tests and the scripts is used: an AST
-scan of each file's imported names against the names it reads."""
+"""Every import in the package, the tests and the scripts is used, and every
+function in the package has a user outside the tests: AST scans of the
+names each file binds against the names it reads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCE_DIRS = [ROOT / "src" / "loophom", ROOT / "tests", ROOT / "scripts"]
+PACKAGE = ROOT / "src" / "loophom"
+SOURCE_DIRS = [PACKAGE, ROOT / "tests", ROOT / "scripts"]
+# the benchmark's tracer looks the functions it wraps up by name
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -78,3 +82,104 @@ def test_scanner_flags_only_unused_imports():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def traced_names(source: str) -> set[str]:
+    """``module.function`` and ``module.Class.method`` for every entry of
+    the ``TRACED`` table in the source."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            table = ast.literal_eval(node.value)
+            return {f"{module}.{attr}" for module, attrs in table.items() for attr in attrs}
+    raise ValueError("no TRACED table")
+
+
+def _is_def(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def referenced_names(node: ast.AST, own: str | None = None) -> set[str]:
+    """Names, attribute names and imported names read in node, less `own`
+    (a function calling itself does not use itself)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out |= {alias.name for alias in sub.names}
+    out.discard(own)
+    return out
+
+
+def definitions_only_tests_use(
+    library: dict[str, str], users: list[str], traced: set[str]
+) -> list[str]:
+    """Module-level functions and non-dunder methods of the library modules
+    that no library module, other user source or traced name refers to --
+    whatever the tests do with them.  Names are matched without their
+    module, so a name defined twice counts as used by either's users."""
+    defined = []
+    refs: set[str] = set()
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                members, prefix = node.body, f"{module}.{node.name}."
+                for extra in node.bases + node.decorator_list:
+                    refs |= referenced_names(extra)
+            else:
+                members, prefix = [node], f"{module}."
+            for item in members:
+                if not _is_def(item):
+                    refs |= referenced_names(item)
+                    continue
+                refs |= referenced_names(item, item.name)
+                if not (item.name.startswith("__") and item.name.endswith("__")):
+                    defined.append((prefix + item.name, item.name))
+    for source in users:
+        refs |= referenced_names(ast.parse(source))
+    return sorted(q for q, name in defined if name not in refs and q not in traced)
+
+
+def test_scanner_flags_definitions_only_tests_use():
+    library = {
+        "m": (
+            "def used():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def recursive(k):\n"
+            "    return recursive(k - 1) if k else 0\n"
+            "class C:\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    def method(self):\n"
+            "        return 0\n"
+            "    def traced(self):\n"
+            "        return 1\n"
+            "    def read(self):\n"
+            "        return 2\n"
+        ),
+        "n": "from .m import C\nTABLE = {'run': C.read}\n",
+    }
+    users = ["from m import used\nused()\n"]
+    assert definitions_only_tests_use(library, users, {"m.C.traced"}) == [
+        "m.C.method",
+        "m.recursive",
+    ]
+    assert definitions_only_tests_use(library, [], set()) == [
+        "m.C.method",
+        "m.C.traced",
+        "m.recursive",
+        "m.used",
+    ]
+
+
+def test_no_library_function_exists_only_for_the_tests():
+    library = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    traced = traced_names(TRACING.read_text())
+    assert definitions_only_tests_use(library, users, traced) == []

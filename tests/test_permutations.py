@@ -23,7 +23,6 @@ from loophom.permutations import (
     enumerate_shuffles,
     epsilon,
     face_perm,
-    identity,
     inverse,
     inversions_at,
     invol,
@@ -31,9 +30,8 @@ from loophom.permutations import (
     iter_compositions,
     level_sizes,
     point_sign,
-    shuffle_transposition_test,
 )
-from oracles import is_ens
+from oracles import identity, is_ens, shuffle_transposition_test
 
 # ---------------------------------------------------------------------------
 # Oracles.

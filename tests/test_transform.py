@@ -1,5 +1,6 @@
 """Pins and properties for the word-to-homology evaluation."""
 
+import inspect
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -14,7 +15,6 @@ from loophom.transform import (
     BASEPOINT,
     ShuffleTerm,
     naturality_check,
-    nu_basis_matrix,
     nu_eval,
     nu_vector,
     path_eval,
@@ -30,6 +30,7 @@ from loophom.transform import (
 )
 from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
 from loophom.words import parse_word, positivize
+from oracles import context, nu_basis_matrix
 
 X = ((1, 1),)
 A = ProductSimplex(2, ((1, 2), (1, 1)))
@@ -157,15 +158,13 @@ def test_values_follow_expansion_coordinates():
     # coordinates (1, C(m,1), ..., C(m,n)) -- equivalently, the evaluation
     # kills every difference of degree above n
     for n in (1, 2, 3):
-        cx = build_pair_complex(n, 1)
-        summary = homology(cx, n)
-        mat = nu_basis_matrix(n, cx, summary)
+        mat = nu_basis_matrix(n)
         for m in range(n + 3):
             coords = [comb(m, d) for d in range(n + 1)]
             expected = tuple(
                 sum(row[c] * coords[c] for c in range(n + 1)) for row in mat
             )
-            assert nu_eval(X * m, n, 1, cx, summary) == expected
+            assert nu_eval(X * m, n, 1) == expected
 
 
 def test_nu_basis_matrix_frozen_and_rank():
@@ -317,14 +316,44 @@ def test_vanishing_sum_cases():
         ((), (X, X, X, X), 3, 1),
     ]
     for gamma, alphas, n, g in cases:
-        ok, coords = vanishing_sum_check(gamma, alphas, n, g)
+        ok, coords = vanishing_sum_check(gamma, alphas, *context(n, g))
         assert ok, coords
         assert coords == tuple([0] * len(coords))
 
 
 def test_vanishing_sum_needs_n_plus_one_loops():
     with pytest.raises(ValueError):
-        vanishing_sum_check((), (X, X), 2, 1)
+        vanishing_sum_check((), (X, X), *context(2, 1))
+
+
+def test_top_degree_entry_points_have_no_optional_inputs():
+    for fn in (nu_eval, vanishing_sum_check, naturality_check):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
+    assert nu_eval(X * 2, 3, 1) == (4, 1, 0)
+
+
+def test_checks_take_n_from_their_context():
+    cx1, summary1 = context(1, 1)
+    cx2, summary2 = context(2, 1)
+    # two loops at power 1, three at power 2: the count follows the complex
+    assert vanishing_sum_check((), (X, X), cx1, summary1) == (True, (0,))
+    with pytest.raises(ValueError, match="need exactly 3 loops"):
+        vanishing_sum_check((), (X, X), cx2, summary2)
+    with pytest.raises(ValueError, match="degree-2 homology given for power 1"):
+        vanishing_sum_check((), (X, X), cx1, summary2)
+    with pytest.raises(ValueError, match="degree-1 homology given for power 2"):
+        naturality_check({1: 1}, X * 2, cx2, cx2, summary1)
+    # a summary of another rank does not fit the complex's chain vectors
+    with pytest.raises(ValueError, match="expected a vector of length 8"):
+        vanishing_sum_check((), (X, X, X), cx2, context(2, 2)[1])
+
+
+def test_naturality_check_rejects_complexes_of_different_powers():
+    with pytest.raises(ValueError, match="source power 1 and target power 2 differ"):
+        naturality_check({1: 1}, X, context(1, 1)[0], *context(2, 1))
+    with pytest.raises(ValueError, match="source power 2 and target power 1 differ"):
+        naturality_check({1: 1}, X, context(2, 1)[0], *context(1, 1))
 
 
 def test_symbolic_cancellation_empty():
@@ -405,11 +434,13 @@ def test_naturality_cases():
         ({1: 1, 2: 1}, parse_word("xY"), 2, 2, 1),
     ]
     for gen_map, w, n, g_src, g_tgt in cases:
-        assert naturality_check(gen_map, w, n, g_src, g_tgt), (gen_map, w, n)
+        assert naturality_check(
+            gen_map, w, context(n, g_src)[0], *context(n, g_tgt)
+        ), (gen_map, w, n)
 
 
 def test_naturality_validates_generator_ranges():
     with pytest.raises(ValueError):
-        naturality_check({3: 1}, X, 1, 1, 1)
+        naturality_check({3: 1}, X, context(1, 1)[0], *context(1, 1))
     with pytest.raises(ValueError):
-        naturality_check({1: 5}, X, 1, 1, 1)
+        naturality_check({1: 5}, X, context(1, 1)[0], *context(1, 1))

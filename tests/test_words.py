@@ -9,18 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from loophom.words import (
     combo_magnus,
-    fn_basis_coords,
     is_positive,
     magnus,
     make_alphabet,
-    monomial_basis,
     parse_word,
     positivize,
     tensor_mul,
     tensor_one,
     word_str,
 )
-from oracles import reduce_word
+from oracles import fn_basis_coords, monomial_basis, reduce_word
 
 words_strategy = st.lists(
     st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
@@ -58,6 +56,10 @@ def test_alphabet_inference():
     assert make_alphabet(["b", "a"], 3) == "abx"
     with pytest.raises(ValueError):
         make_alphabet(["xy"], 1)
+    # one letter per generator: the pool names 26 of them
+    assert len(make_alphabet([], 26)) == 26
+    with pytest.raises(ValueError, match="rank 27"):
+        make_alphabet([], 27)
 
 
 def test_reduce_frozen():
