@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .permutations import InvolPoint, Perm, act_on_coords, epsilon
+from .permutations import InvolPoint, Perm, act_on_coords, point_sign
 
 Point = tuple[Fraction, ...]
 
@@ -156,8 +156,7 @@ def f_map(x: InvolPoint, k: int) -> tuple[AffineSimplexMap, int]:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
     piece = subdivision_piece(tuple(v), sigma, k)
     verts = piece.vertices[: n - i] + piece.vertices[n - i + 1:]
-    sign = epsilon(sigma) * (-1 if i % 2 else 1)
-    return AffineSimplexMap(n, verts), sign
+    return AffineSimplexMap(n, verts), point_sign(sigma, i)
 
 
 def ftilde_map(w: Sequence[int], tau: Perm, i: int, k: int) -> tuple[AffineSimplexMap, int]:
@@ -165,5 +164,4 @@ def ftilde_map(w: Sequence[int], tau: Perm, i: int, k: int) -> tuple[AffineSimpl
     with sign (-1)^i eps(tau)."""
     n = len(w) + 1
     piece = subdivision_piece(tuple(w), tau, k)
-    sign = epsilon(tau) * (-1 if i % 2 else 1)
-    return compose(face_map(n, i), piece), sign
+    return compose(face_map(n, i), piece), point_sign(tau, i)

@@ -23,7 +23,8 @@ the identity exactly (the coned chain is a relative cycle by induction).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import itertools
+from typing import Iterable
 
 from .affine import (
     AffineSimplexMap,
@@ -48,19 +49,16 @@ class FormalChain:
         self,
         domain_dim: int,
         codomain_dim: int,
-        terms: Mapping[AffineSimplexMap, int] | Iterable[tuple[AffineSimplexMap, int]] = (),
+        terms: Iterable[tuple[AffineSimplexMap, int]] = (),
     ):
         self.domain_dim = domain_dim
         self.codomain_dim = codomain_dim
         acc: dict[AffineSimplexMap, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for m, c in items:
+        for m, c in terms:
             if m.domain_dim != domain_dim or m.codomain_dim != codomain_dim:
                 raise ValueError(
                     f"term {m} is not a map D^{domain_dim} -> R^{codomain_dim}"
                 )
-            if not c:
-                continue
             c += acc.get(m, 0)
             if c:
                 acc[m] = c
@@ -100,10 +98,9 @@ class FormalChain:
 
     def __add__(self, other: "FormalChain") -> "FormalChain":
         self._check_same_shape(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return FormalChain(self.domain_dim, self.codomain_dim, acc)
+        return FormalChain(
+            self.domain_dim, self.codomain_dim, [*self.terms.items(), *other.terms.items()]
+        )
 
     def __sub__(self, other: "FormalChain") -> "FormalChain":
         return self + (-other)
@@ -111,13 +108,13 @@ class FormalChain:
     def __neg__(self) -> "FormalChain":
         return FormalChain(
             self.domain_dim, self.codomain_dim,
-            {m: -c for m, c in self.terms.items()},
+            ((m, -c) for m, c in self.terms.items()),
         )
 
     def __rmul__(self, scalar: int) -> "FormalChain":
         return FormalChain(
             self.domain_dim, self.codomain_dim,
-            {m: scalar * c for m, c in self.terms.items()},
+            ((m, scalar * c) for m, c in self.terms.items()),
         )
 
 
@@ -141,12 +138,11 @@ def chain_compose(g: FormalChain, f: FormalChain) -> FormalChain:
             f"cannot compose chains: inner lands in R^{f.codomain_dim}, "
             f"outer starts on D^{g.domain_dim}"
         )
-    acc: dict[AffineSimplexMap, int] = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
-            m = compose(mg, mf)
-            acc[m] = acc.get(m, 0) + cf * cg
-    return FormalChain(f.domain_dim, g.codomain_dim, acc)
+    pairs = itertools.product(f.terms.items(), g.terms.items())
+    return FormalChain(
+        f.domain_dim, g.codomain_dim,
+        ((compose(mg, mf), cf * cg) for (mf, cf), (mg, cg) in pairs),
+    )
 
 
 def boundary_chain(n: int) -> FormalChain:

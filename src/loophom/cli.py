@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .chains import (
+    FormalChain,
     boundary_chain,
     build_homotopy_L,
     chain_compose,
-    chain_of,
     div_chain,
     identity_chain,
-    zero_chain,
 )
 from .affine import f_map, ftilde_map
 from .homology import homology
@@ -59,7 +58,7 @@ from .transform import (
     vanishing_sum_check,
 )
 from .wedge import build_pair_complex, complex_to_json, simplex_str
-from .words import make_alphabet, parse_word, word_str
+from .words import make_alphabet, parse_word, positive_words, word_str
 
 Check = tuple[bool, dict | None]
 
@@ -131,7 +130,7 @@ def emit(
     result.  Returns the exit status.
     """
     payload = report.to_dict()
-    if args.out:
+    if args.out is not None:
         emit_to_file_only(payload if file_payload is None else file_payload, args.out)
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -144,7 +143,7 @@ def emit(
         )
         if report.witness is not None:
             print(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
-        if report.result is not None and not args.out:
+        if report.result is not None and args.out is None:
             print(f"  result: {json.dumps(report.result, sort_keys=True)}")
     return 0 if report.status == "pass" else 1
 
@@ -272,14 +271,14 @@ def cancellation_checks(max_n: int, max_k: int) -> Iterator[Check]:
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
             pairs = set(enumerate_ens(n, k))
-            acc = zero_chain(n - 1, n)
-            for v, sigma in pairs:
-                for i in range(0, n + 1):
-                    pv, psigma, _ = invol((v, sigma, i))
-                    if (pv, psigma) in pairs:
-                        m, sign = f_map((v, sigma, i), k)
-                        acc = acc + chain_of(m, sign)
-            yield acc.is_zero(), {"check": "paired-composites", "n": n, "k": k}
+            paired = (
+                f_map((v, sigma, i), k)
+                for v, sigma in pairs
+                for i in range(n + 1)
+                if invol((v, sigma, i))[:2] in pairs
+            )
+            composites = FormalChain(n - 1, n, paired)
+            yield composites.is_zero(), {"check": "paired-composites", "n": n, "k": k}
 
 
 def theorem_b_checks(
@@ -301,12 +300,8 @@ def theorem_b_checks(
         )
         yield ok, None if ok else {"class": list(coords)}
         return
-    letters = [((i, 1),) for i in range(1, genus + 1)]
-    gammas: list[tuple] = [()]
-    for length in (1, 2):
-        for combo in itertools.product(letters, repeat=length):
-            gammas.append(sum(combo, ()))
-    for base in gammas:
+    letters = positive_words(genus, (1,))
+    for base in positive_words(genus, (0, 1, 2)):
         for loops in itertools.product(letters, repeat=n + 1):
             ok, coords = vanishing_sum_check(base, list(loops), cx, summary)
             witness = None
@@ -329,11 +324,7 @@ def naturality_checks(max_n: int) -> Iterator[Check]:
             summaries[n, g] = homology(complexes[n, g], n)
     for n in range(1, max_n + 1):
         for g_src in ranks:
-            words = [
-                tuple((i, 1) for i in letters)
-                for length in (1, 2)
-                for letters in itertools.product(range(1, g_src + 1), repeat=length)
-            ]
+            words = positive_words(g_src, (1, 2))
             for g_tgt in ranks:
                 targets = [None] + list(range(1, g_tgt + 1))
                 for images in itertools.product(targets, repeat=g_src):
@@ -357,11 +348,7 @@ def naturality_checks(max_n: int) -> Iterator[Check]:
 
 
 def oracle_checks(seed: int, points: int) -> Iterator[Check]:
-    words = [
-        tuple((i, 1) for i in letters)
-        for length in (1, 2, 3)
-        for letters in itertools.product((1, 2), repeat=length)
-    ]
+    words = positive_words(2, (1, 2, 3))
     for n in (1, 2, 3):
         pts = random_simplex_points(n, points, seed + n)
         for w in words:
@@ -462,7 +449,7 @@ def cmd_export_complex(args: argparse.Namespace) -> int:
     payload = complex_to_json(cx, alphabet)
     ms = int(round((time.perf_counter() - t0) * 1000))
     params = {"genus": args.genus, "n": args.n}
-    if args.out:  # the file gets the complex, the report says where it went
+    if args.out is not None:  # the file gets the complex, the report says where it went
         dims = len(payload["dims"])
         result = {"path": args.out, "dims": dims}
         report = Report("export-complex", params, "pass", 1, 0, ms, result=result)

@@ -49,7 +49,7 @@ from functools import lru_cache
 from fractions import Fraction
 from math import ceil
 from random import Random
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .homology import HomologySummary, homology
 from .permutations import Perm, enumerate_shuffles, epsilon, iter_compositions
@@ -66,6 +66,7 @@ from .words import (
     Word,
     WordCombo,
     check_rank,
+    combine,
     combo_magnus,
     is_positive,
     positivize,
@@ -135,16 +136,10 @@ def term_to_simplex(t: ShuffleTerm) -> ProductSimplex:
 
 
 def _as_combo(elt: Word | Mapping[Word, int], n: int) -> WordCombo:
-    combo: WordCombo = {}
     items = [(elt, 1)] if isinstance(elt, tuple) else elt.items()
-    for w, c in items:
-        for u, cu in positivize(tuple(w), n).items():
-            c2 = combo.get(u, 0) + c * cu
-            if c2:
-                combo[u] = c2
-            else:
-                combo.pop(u, None)
-    return combo
+    return combine(
+        (u, c * cu) for w, c in items for u, cu in positivize(tuple(w), n).items()
+    )
 
 
 def subdivision_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
@@ -177,21 +172,19 @@ def _row(s: ProductSimplex) -> Row:
     letters = [c[0] for c in s.components]
     sigma = [n - c[1] + 1 for c in s.components]
     sign = epsilon(tuple(sigma))
-    row: dict[Monomial, int] = {}
 
-    def split(start: int, mono: Monomial) -> None:
+    def splits(start: int, mono: Monomial) -> Iterator[Monomial]:
         if start == n:
-            row[mono] = row.get(mono, 0) + sign
+            yield mono
             return
         end = start + 1
         while True:
-            split(end, mono + (letters[start],))
+            yield from splits(end, mono + (letters[start],))
             if end == n or letters[end] != letters[start] or sigma[end] < sigma[end - 1]:
                 return
             end += 1
 
-    split(0, ())
-    return tuple(row.items())
+    return tuple(combine((mono, sign) for mono in splits(0, ())).items())
 
 
 @lru_cache(maxsize=None)
@@ -247,18 +240,10 @@ def vanishing_sum_check(
     n = _top_degree(cx, summary)
     if len(alphas) != n + 1:
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
-    combo: WordCombo = {}
-    for bits in itertools.product((0, 1), repeat=n + 1):
-        word = tuple(gamma)
-        for a, bit in zip(alphas, bits):
-            if bit:
-                word = word + tuple(a)
-        c = (-1) ** sum(bits)
-        c2 = combo.get(word, 0) + c
-        if c2:
-            combo[word] = c2
-        else:
-            combo.pop(word, None)
+    combo = combine(
+        (tuple(itertools.chain(gamma, *itertools.compress(alphas, bits))), (-1) ** sum(bits))
+        for bits in itertools.product((0, 1), repeat=n + 1)
+    )
     vec = subdivision_vector(combo, cx)
     coords = summary.cycle_class(vec)
     return not any(coords) and vec == nu_vector(combo, cx), coords
@@ -286,26 +271,18 @@ def symbolic_cancellation(n: int) -> dict[SymbolicMapTerm, int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    acc: dict[SymbolicMapTerm, int] = {}
+    return combine(_symbolic_terms(n))
+
+
+def _symbolic_terms(n: int) -> Iterator[tuple[SymbolicMapTerm, int]]:
+    """The (term, sign) pairs of the expansion, before cancellation."""
     for size in range(0, n + 2):
         for chosen in itertools.combinations(range(n + 1), size):
-            slots = list(chosen) + [n + 1]
-            sign_I = (-1) ** size
+            slots = chosen + (n + 1,)
             for parts in iter_compositions(n, len(slots)):
+                blocks = [slot for slot, part in zip(slots, parts) for _ in range(part)]
                 for sigma in enumerate_shuffles(parts):
-                    term = []
-                    pos = 0
-                    for slot, part in zip(slots, parts):
-                        for _ in range(part):
-                            term.append((slot, sigma[pos]))
-                            pos += 1
-                    key = tuple(term)
-                    c = acc.get(key, 0) + sign_I * epsilon(sigma)
-                    if c:
-                        acc[key] = c
-                    else:
-                        acc.pop(key, None)
-    return acc
+                    yield tuple(zip(blocks, sigma)), (-1) ** size * epsilon(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +316,21 @@ def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
 def term_matches_path(
     t: ShuffleTerm,
     x: Sequence[Fraction],
-    cell: ProductSimplex | None = None,
-    path: list[list[tuple]] | None = None,
+    cell: ProductSimplex,
+    path: list[list[tuple]],
 ) -> bool:
     """Whether, at the sample point x, the simplex encoding the term agrees
     with the subdivided path.
 
     Position p of the path side evaluates the concatenated loops at time
     (b(p) - 1 + x_{sigma(p)}) / k, the p-th output of the term's
-    subdivision piece; the simplex side reads component p of
-    ``term_to_simplex(t)``, whose jump j names the source coordinate
-    q = n - j + 1.  ``cell`` substitutes a different simplex (for negative
-    controls); ``path`` is the term word's `_path_table` at x, which
-    `sampling_oracle` computes once per point for all terms.
+    subdivision piece; the simplex side reads component p of ``cell``
+    (``term_to_simplex(t)``, or a forged simplex as a negative control),
+    whose jump j names the source coordinate q = n - j + 1.  ``path`` is
+    the term word's `_path_table` at x, which `sampling_oracle` computes
+    once per point for all terms.
     """
     n = len(t.sigma)
-    if cell is None:
-        cell = term_to_simplex(t)
-    if path is None:
-        path = _path_table(t.word, x)
     for p in range(1, n + 1):
         letter, jump = cell.components[p - 1]
         u = x[(n - jump + 1) - 1]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .words import LETTER_POOL
+from .words import LETTER_POOL, combine
 
 # a circle cell: None is the basepoint simplex, (generator, jump) an
 # edge degeneracy
@@ -177,18 +177,8 @@ def boundary_of_simplex(
     """Sorted (index, coefficient) nonzeros of the alternating face sum,
     keeping only faces that stay in the spanning set (nondegenerate,
     outside Y)."""
-    out: dict[int, int] = {}
-    for i in range(s.dim + 1):
-        t = s.face(i)
-        idx = basis_index.get(t)
-        if idx is None:
-            continue
-        c = out.get(idx, 0) + (-1) ** i
-        if c:
-            out[idx] = c
-        else:
-            del out[idx]
-    return tuple(sorted(out.items()))
+    faces = ((basis_index.get(s.face(i)), (-1) ** i) for i in range(s.dim + 1))
+    return tuple(sorted(combine((r, c) for r, c in faces if r is not None).items()))
 
 
 def build_pair_complex(n: int, g: int) -> PairComplex:

@@ -15,6 +15,12 @@ ring.  The evaluation in ``transform.nu_vector`` reads a word only through
 ``combo_magnus``: its chain vector is a fixed matrix times these
 coordinates, inverse letters included.
 
+Integer combinations of words (``WordCombo``), monomials (``Tensor``),
+boundary faces and shuffle terms are summed into dicts that never store a
+zero, so equal combinations compare equal; ``combine`` is the one
+accumulator that does it (``tensor_mul``, the expansion's inner loop,
+sums in place).
+
 ``positivize`` rewrites any word as an integer combination of positive
 words with the same expansion, via
 
@@ -26,13 +32,15 @@ independent witness in the theorem-b suite) assume positive words.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 Word = tuple[tuple[int, int], ...]
 Monomial = tuple[int, ...]
 Tensor = dict[Monomial, int]
 WordCombo = dict[Word, int]
+K = TypeVar("K", bound=Hashable)
 
 # default letter pool: 'x' names generator 1 so the usual one- and
 # two-generator examples read as x, y
@@ -102,6 +110,16 @@ def is_positive(w: Word) -> bool:
     return all(e == 1 for _, e in w)
 
 
+def positive_words(g: int, lengths: Iterable[int]) -> list[Word]:
+    """Every positive word over generators 1..g of the given lengths, length
+    by length, each length in lexicographic order."""
+    return [
+        tuple((i, 1) for i in letters)
+        for length in lengths
+        for letters in itertools.product(range(1, g + 1), repeat=length)
+    ]
+
+
 def check_rank(w: Word, g: int) -> None:
     for i, e in w:
         if not 1 <= i <= g:
@@ -111,27 +129,33 @@ def check_rank(w: Word, g: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Truncated noncommutative polynomials.
+# Integer combinations and truncated noncommutative polynomials.
 # ---------------------------------------------------------------------------
+
+
+def combine(terms: Iterable[tuple[K, int]]) -> dict[K, int]:
+    """Sum the coefficients of equal keys, storing no zero.
+
+    >>> combine([("a", 1), ("b", 2), ("a", -1)])
+    {'b': 2}
+    """
+    out: dict[K, int] = {}
+    for key, c in terms:
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
 
 
 def tensor_one() -> Tensor:
     return {(): 1}
 
 
-def tensor_add(a: Tensor, b: Tensor, scale: int = 1) -> Tensor:
-    out = dict(a)
-    for m, c in b.items():
-        c = out.get(m, 0) + scale * c
-        if c:
-            out[m] = c
-        else:
-            out.pop(m, None)
-    return out
-
-
 def tensor_mul(a: Tensor, b: Tensor, n: int) -> Tensor:
-    """Product, dropping monomials of degree above n."""
+    """Product, dropping monomials of degree above n.  The inner loop of
+    every expansion, so it sums in place: `combine` is slower here."""
     out: Tensor = {}
     for ma, ca in a.items():
         room = n - len(ma)
@@ -175,10 +199,9 @@ def magnus(w: Word, n: int, g: int | None = None) -> Tensor:
 def combo_magnus(combo: Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
     """Degree-n expansion of an integer combination of words; with g given,
     every word is checked against the rank first."""
-    out: Tensor = {}
-    for w, c in combo.items():
-        out = tensor_add(out, magnus(w, n, g), scale=c)
-    return out
+    return combine(
+        (m, c * cm) for w, c in combo.items() for m, cm in magnus(w, n, g).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +222,7 @@ def positivize(w: Word, n: int) -> WordCombo:
     >>> positivize(((1, -1),), 1)
     {(): 2, ((1, 1),): -1}
     """
-    if all(e == 1 for _, e in w):
+    if is_positive(w):
         return {w: 1}
     combo: WordCombo = {(): 1}
     for i, e in w:
@@ -209,16 +232,9 @@ def positivize(w: Word, n: int) -> WordCombo:
             factor = {
                 ((i, 1),) * m: (-1) ** m * comb(n + 1, m + 1) for m in range(n + 1)
             }
-        merged: WordCombo = {}
-        for u, cu in combo.items():
-            for v, cv in factor.items():
-                word = u + v
-                c = merged.get(word, 0) + cu * cv
-                if c:
-                    merged[word] = c
-                else:
-                    merged.pop(word, None)
-        combo = merged
+        combo = combine(
+            (u + v, cu * cv) for u, cu in combo.items() for v, cv in factor.items()
+        )
     if combo_magnus(combo, n) != magnus(w, n):
         raise AssertionError(f"positivize broke the degree-{n} expansion of {w}")
     return combo

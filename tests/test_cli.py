@@ -200,12 +200,14 @@ def test_theorem_b_rejects_a_wrong_loop_count_before_building(capsys, monkeypatc
 )
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "missing-dir" / "report.json"
-    assert cli.main(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err
-    assert err.startswith(f"error: cannot write {out}: ")
-    assert "Traceback" not in err
+    # the empty path is unwritable too, not a missing --out
+    for path in (str(out), ""):
+        assert cli.main(argv + ["--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
     assert not out.exists()
 
 

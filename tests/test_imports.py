@@ -1,6 +1,8 @@
-"""Every import in the package, the tests and the scripts is used, and every
-function in the package has a user outside the tests: AST scans of the
-names each file binds against the names it reads."""
+"""Every import in the package, the tests and the scripts is used, every
+function in the package has a user outside the tests, and only the
+package's accumulators drop a zero coefficient themselves: AST scans of
+the names each file binds against the names it reads, and of the
+functions that delete dict keys."""
 
 from __future__ import annotations
 
@@ -183,3 +185,69 @@ def test_no_library_function_exists_only_for_the_tests():
     users = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     traced = traced_names(TRACING.read_text())
     assert definitions_only_tests_use(library, users, traced) == []
+
+
+# the accumulators that may drop a zero coefficient by hand: the shared
+# one, the Magnus kernel kept apart for speed, and the chains layer's own
+ZERO_DROPPERS = {"words.combine", "words.tensor_mul", "chains.FormalChain.__init__"}
+
+
+def _deletes_a_key(node: ast.AST) -> bool:
+    """``d.pop(key, default)`` or ``del d[key]``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return isinstance(func, ast.Attribute) and func.attr == "pop" and len(node.args) == 2
+    return isinstance(node, ast.Delete) and any(
+        isinstance(t, ast.Subscript) for t in node.targets
+    )
+
+
+def hand_zero_drops(module: str, source: str) -> list[str]:
+    """Module-level functions and methods (qualified by module and class)
+    whose bodies delete a dict key by hand."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            members, prefix = node.body, f"{module}.{node.name}."
+        else:
+            members, prefix = [node], f"{module}."
+        for item in members:
+            if _is_def(item) and any(_deletes_a_key(sub) for sub in ast.walk(item)):
+                out.append(prefix + item.name)
+    return sorted(out)
+
+
+def test_scanner_flags_hand_written_zero_drops():
+    source = (
+        "def combine(terms):\n"
+        "    out = {}\n"
+        "    for k, c in terms:\n"
+        "        c += out.get(k, 0)\n"
+        "        if c:\n"
+        "            out[k] = c\n"
+        "        else:\n"
+        "            out.pop(k, None)\n"
+        "    return out\n"
+        "def stack(xs):\n"
+        "    xs.pop()\n"
+        "    return xs.pop(0)\n"
+        "class C:\n"
+        "    def merge(self, d, k):\n"
+        "        del d[k]\n"
+        "    def rename(self, d):\n"
+        "        del d\n"
+        "def planted(d, k):\n"
+        "    def inner():\n"
+        "        d.pop(k, None)\n"
+        "    return inner\n"
+    )
+    assert hand_zero_drops("m", source) == ["m.C.merge", "m.combine", "m.planted"]
+
+
+def test_only_the_accumulators_drop_zeros_by_hand():
+    found = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in hand_zero_drops(path.stem, path.read_text())
+    ]
+    assert [name for name in found if name not in ZERO_DROPPERS] == []

@@ -14,6 +14,7 @@ from loophom.homology import homology, smith_normal_form
 from loophom.transform import (
     BASEPOINT,
     ShuffleTerm,
+    _path_table,
     naturality_check,
     nu_eval,
     nu_vector,
@@ -402,11 +403,12 @@ def test_sampling_oracle_rejects_forged_cells():
     xy = parse_word("xy")
     t = ShuffleTerm(xy, (1, 1), (1, 2))
     x = (Fraction(1, 3), Fraction(1, 2))
-    assert term_matches_path(t, x)
+    path = _path_table(xy, x)
+    assert term_matches_path(t, x, term_to_simplex(t), path)
     wrong_letters = ProductSimplex(2, ((2, 2), (1, 1)))
-    assert not term_matches_path(t, x, cell=wrong_letters)
+    assert not term_matches_path(t, x, wrong_letters, path)
     wrong_jumps = ProductSimplex(2, ((1, 1), (2, 2)))
-    assert not term_matches_path(t, x, cell=wrong_jumps)
+    assert not term_matches_path(t, x, wrong_jumps, path)
 
 
 # ---------------------------------------------------------------------------

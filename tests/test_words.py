@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophom.words import (
+    combine,
     combo_magnus,
     is_positive,
     magnus,
     make_alphabet,
     parse_word,
+    positive_words,
     positivize,
     tensor_mul,
     tensor_one,
@@ -25,7 +27,7 @@ words_strategy = st.lists(
     max_size=8,
 ).map(tuple)
 
-positive_words = st.lists(
+positive_words_strategy = st.lists(
     st.tuples(st.integers(1, 2), st.just(1)), max_size=4
 ).map(tuple)
 
@@ -79,6 +81,34 @@ def test_reduce_never_leaves_cancelling_pair(w):
     r = reduce_word(w)
     for a, b in zip(r, r[1:]):
         assert not (a[0] == b[0] and a[1] == -b[1])
+
+
+def test_positive_words_frozen_order():
+    x, y = parse_word("x", "xy"), parse_word("y", "xy")
+    assert positive_words(2, (0, 1, 2)) == [(), x, y, x + x, x + y, y + x, y + y]
+    assert positive_words(3, ()) == []
+    assert positive_words(1, (3,)) == [x + x + x]
+
+
+# ---------------------------------------------------------------------------
+# Integer combinations.
+# ---------------------------------------------------------------------------
+
+# few keys and small coefficients, so sums collide and cancel often
+combination_terms = st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-2, 2)))
+
+
+@given(combination_terms, st.randoms(use_true_random=False))
+def test_combine_is_a_plain_sum_without_zeros(terms, rng):
+    reference: dict[str, int] = {}
+    for key, c in terms:
+        reference[key] = reference.get(key, 0) + c
+    out = combine(terms)
+    assert out == {key: c for key, c in reference.items() if c}
+    assert 0 not in out.values()
+    shuffled = list(terms)
+    rng.shuffle(shuffled)
+    assert combine(iter(shuffled)) == out
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +202,8 @@ def test_fn_coords_kill_degree_three_multiples():
 
 
 @given(
-    st.lists(positive_words, min_size=4, max_size=4),
-    positive_words,
+    st.lists(positive_words_strategy, min_size=4, max_size=4),
+    positive_words_strategy,
     st.integers(1, 3),
 )
 def test_subset_alternating_sum_vanishes(alpha_pool, w, n):
