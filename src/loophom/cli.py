@@ -14,14 +14,17 @@ with their defaults.
 
 Exit status: 0 when the command passed, 1 when a check failed, 2 for usage
 errors, including an ``--out`` file that cannot be written (nothing is
-printed then) and a verify flag the suite does not read.
+printed then), a verify flag the suite does not read, and standard output
+that cannot be written (a closed pipe, a full device).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -127,24 +130,38 @@ def emit(
     it is written first, so a failed write prints nothing.  Standard output
     gets the report as JSON with ``--json``, else the command's summary
     `lines`, else a status line with the witness and (without ``--out``) the
-    result.  Returns the exit status.
+    result.  Returns the exit status; standard output that cannot be
+    written raises ValueError, a usage error.
     """
     payload = report.to_dict()
     if args.out is not None:
         emit_to_file_only(payload if file_payload is None else file_payload, args.out)
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif lines is not None:
-        print("\n".join(lines))
-    else:
-        print(
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
+    elif lines is None:
+        lines = [
             f"{report.command}: {report.status}"
             f" ({report.cases} cases, {report.failures} failures, {report.ms} ms)"
-        )
+        ]
         if report.witness is not None:
-            print(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
+            lines.append(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
         if report.result is not None and args.out is None:
-            print(f"  result: {json.dumps(report.result, sort_keys=True)}")
+            lines.append(f"  result: {json.dumps(report.result, sort_keys=True)}")
+    text = "\n".join(lines) + "\n"
+    try:
+        # in buffer-sized pieces: an unbuffered stream (python -u) drops
+        # without an error the tail of a larger write that a closing pipe
+        # cuts short
+        for i in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+            sys.stdout.write(text[i : i + io.DEFAULT_BUFFER_SIZE])
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send what is left
+        # to the null device so that flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ValueError(f"cannot write standard output: {exc.strerror or exc}") from None
     return 0 if report.status == "pass" else 1
 
 

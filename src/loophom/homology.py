@@ -40,16 +40,13 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
-            inner: int | None = None) -> Matrix:
-    """Product a @ b; pass `inner` when either factor can have zero rows."""
-    if inner is None:
-        inner = len(b)
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """Product a @ b."""
     cols = len(b[0]) if b else 0
     # each column of b as its (k, b[k][c]) nonzeros: zero terms add nothing
     columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-    for k in range(inner):
-        for c, x in enumerate(b[k]):
+    for k, row in enumerate(b):
+        for c, x in enumerate(row):
             if x:
                 columns[c].append((k, x))
     return [[sum(row[k] * x for k, x in col) for col in columns] for row in a]
@@ -248,7 +245,7 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     # with U md V = D, md md1 = U^-1 D (Vinv md1); D is nonzero exactly on
     # its first cycle_rank diagonal entries, so md md1 = 0 if and only if
     # the first cycle_rank rows of Vinv md1 vanish
-    bdry = mat_mul(vinv, md1, inner=nd)
+    bdry = mat_mul(vinv, md1)
     for i in range(cycle_rank):
         if any(bdry[i]):
             raise ValueError("not a chain complex: consecutive boundaries do not vanish")

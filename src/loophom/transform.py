@@ -4,26 +4,25 @@ construction.
 
 A positive word w of length L, read left to right, is a concatenation of L
 generator loops; its n-th power map sends the order simplex D^n into the
-n-fold product of the wedge.  Subdividing the traversal into the L segments
-decomposes that map as a signed sum over pairs (composition of n into L
-parts, shuffle of the composition):
+n-fold product of the wedge.  Cutting that map along the degree-L edgewise
+subdivision of D^n decomposes it as a signed sum over the L^n pieces
+(v, sigma) of the subdivision (`enumerate_ens(n, L)`: v nondecreasing in
+[0, L-1]^n, sigma a shuffle of its level-set sizes):
 
-* position p of [1, n] belongs to block b(p) (positions are split
-  consecutively by the composition), and travels along the letter of that
-  block;
+* position p of [1, n] travels along letter w[v_p];
 * the parameter it reads is coordinate sigma(p) of the input, so in the
   simplicial model the component is the edge cell with jump n - sigma(p) + 1
   (the coordinate map t -> t_q switches value at vertex n - q + 1);
-* the term's sign is the shuffle's sign.
+* the piece's sign is epsilon(sigma).
 
-Every term lands in the canonical basis (jumps are then a bijection, and no
-component sits at the basepoint), the signed sum is a relative cycle, and
-its homology coordinates are the value of the transformation.
+Every piece lands in the canonical basis (jumps are then a bijection, and
+no component sits at the basepoint), the signed sum is a relative cycle,
+and its homology coordinates are the value of the transformation.
 
-`nu_vector` does not expand terms.  Grouping the terms that land on one
+`nu_vector` does not expand pieces.  Grouping the pieces that land on one
 basis simplex s shows that the coefficient of s is linear in the degree-n
-Magnus coordinates of the word: the blocks with nonzero parts split the
-positions of s into consecutive runs, each run of constant letter and
+Magnus coordinates of the word: the letters with nonempty level sets split
+the positions of s into consecutive runs, each run of constant letter and
 ascending sigma, and the number of ways to place those runs in w is the
 Magnus coefficient of the monomial of run letters.  So the chain vector is
 a fixed integer matrix M_{n,g} times the truncated Magnus expansion, for
@@ -31,8 +30,8 @@ any integer combination of words (inverse letters included), and the
 matrix is built once per (n, g).
 
 `subdivision_vector` keeps the geometric sum itself -- inverse letters
-rewritten by `positivize`, then every shuffle term mapped to its simplex --
-as an independent witness: `vanishing_sum_check` evaluates through it and
+rewritten by `positivize`, then every piece mapped to its simplex -- as an
+independent witness: `vanishing_sum_check` evaluates through it and
 requires it to agree with `nu_vector`.
 
 The module also houses the cross-checks used by the verification suites: a
@@ -44,7 +43,6 @@ subset-alternating sums in homology, and naturality under wedge maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import ceil
@@ -52,7 +50,7 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .homology import HomologySummary, homology
-from .permutations import Perm, enumerate_shuffles, epsilon, iter_compositions
+from .permutations import Perm, enumerate_ens, epsilon
 from .wedge import (
     PairComplex,
     ProductSimplex,
@@ -75,59 +73,25 @@ from .words import (
 BASEPOINT = ("*",)
 
 
-@dataclass(frozen=True)
-class ShuffleTerm:
-    """One summand of the subdivision of a length-L positive word's n-th
-    power: a composition of n into L parts and a shuffle of it."""
-
-    word: Word
-    parts: tuple[int, ...]
-    sigma: Perm
-
-    def __post_init__(self):
-        if sum(self.parts) != len(self.sigma):
-            raise ValueError("composition and permutation sizes disagree")
-        if len(self.parts) != len(self.word):
-            raise ValueError("one composition part per letter is required")
-
-    @property
-    def sign(self) -> int:
-        return epsilon(self.sigma)
-
-    def block_of(self, p: int) -> int:
-        """1-based block index containing position p."""
-        total = 0
-        for b, size in enumerate(self.parts, start=1):
-            total += size
-            if p <= total:
-                return b
-        raise ValueError(f"position {p} out of range")
-
-
-def shuffle_expand(w: Word, n: int) -> list[ShuffleTerm]:
-    """All L^n terms of the decomposition of a positive word's n-th power."""
+def shuffle_expand(w: Word, n: int) -> list[tuple[tuple[int, ...], Perm]]:
+    """The L^n pieces (v, sigma) of the degree-L subdivision that cut a
+    positive word's n-th power, L = len(w)."""
     if not w:
         raise ValueError("the empty word has no blocks to decompose over")
     if not is_positive(w):
         raise ValueError("only positive words decompose geometrically")
     if n < 1:
         raise ValueError("need n >= 1")
-    out = []
-    for parts in iter_compositions(n, len(w)):
-        for sigma in enumerate_shuffles(parts):
-            out.append(ShuffleTerm(w, parts, sigma))
-    return out
+    return enumerate_ens(n, len(w))
 
 
-def term_to_simplex(t: ShuffleTerm) -> ProductSimplex:
-    """The basis simplex of a term: position p carries the block letter
-    with jump n - sigma(p) + 1."""
-    n = len(t.sigma)
-    comps = []
-    for p in range(1, n + 1):
-        letter = t.word[t.block_of(p) - 1][0]
-        comps.append((letter, n - t.sigma[p - 1] + 1))
-    return ProductSimplex(n, tuple(comps))
+def term_to_simplex(w: Word, v: Sequence[int], sigma: Perm) -> ProductSimplex:
+    """The basis simplex of piece (v, sigma) of w: position p carries
+    letter w[v_p] with jump n - sigma(p) + 1."""
+    n = len(sigma)
+    return ProductSimplex(
+        n, tuple((w[b][0], n - q + 1) for b, q in zip(v, sigma, strict=True))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +108,9 @@ def _as_combo(elt: Word | Mapping[Word, int], n: int) -> WordCombo:
 
 def subdivision_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
     """Chain vector of the transformation as the geometric sum: inverse
-    letters are rewritten first, then every shuffle term of every positive
-    word is mapped to its basis simplex.  The empty word is the constant
-    loop, whose simplices all collapse, so it contributes 0."""
+    letters are rewritten first, then every subdivision piece of every
+    positive word is mapped to its basis simplex.  The empty word is the
+    constant loop, whose simplices all collapse, so it contributes 0."""
     n = cx.n
     combo = _as_combo(elt, n)
     out = [0] * cx.rank(n)
@@ -155,9 +119,8 @@ def subdivision_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[
         if not w:
             continue
         check_rank(w, cx.g)
-        for t in shuffle_expand(w, n):
-            s = term_to_simplex(t)
-            out[index[s]] += c * t.sign
+        for v, sigma in shuffle_expand(w, n):
+            out[index[term_to_simplex(w, v, sigma)]] += c * epsilon(sigma)
     return out
 
 
@@ -264,10 +227,10 @@ def symbolic_cancellation(n: int) -> dict[SymbolicMapTerm, int]:
     per-position terms; everything cancels, so the expected value is {}.
 
     Terms from different I coincide exactly when they use the same blocks
-    with the same composition and shuffle (zero blocks are invisible), and
-    each such profile is counted with sum_{I containing its support}
+    with the same level-set sizes and shuffle (empty blocks are invisible),
+    and each such profile is counted with sum_{I containing its support}
     (-1)^{|I|} = 0 -- the support can never be all of {0..n} since the
-    composition only carries n units over n+1 candidate blocks.
+    n positions fill at most n of the n+1 candidate blocks.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -279,10 +242,9 @@ def _symbolic_terms(n: int) -> Iterator[tuple[SymbolicMapTerm, int]]:
     for size in range(0, n + 2):
         for chosen in itertools.combinations(range(n + 1), size):
             slots = chosen + (n + 1,)
-            for parts in iter_compositions(n, len(slots)):
-                blocks = [slot for slot, part in zip(slots, parts) for _ in range(part)]
-                for sigma in enumerate_shuffles(parts):
-                    yield tuple(zip(blocks, sigma)), (-1) ** size * epsilon(sigma)
+            for v, sigma in enumerate_ens(n, len(slots)):
+                term = tuple((slots[b], q) for b, q in zip(v, sigma))
+                yield term, (-1) ** size * epsilon(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +276,28 @@ def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
 
 
 def term_matches_path(
-    t: ShuffleTerm,
+    v: Sequence[int],
+    sigma: Perm,
     x: Sequence[Fraction],
     cell: ProductSimplex,
     path: list[list[tuple]],
 ) -> bool:
-    """Whether, at the sample point x, the simplex encoding the term agrees
-    with the subdivided path.
+    """Whether, at the sample point x, the simplex encoding piece
+    (v, sigma) agrees with the subdivided path.
 
     Position p of the path side evaluates the concatenated loops at time
-    (b(p) - 1 + x_{sigma(p)}) / k, the p-th output of the term's
-    subdivision piece; the simplex side reads component p of ``cell``
-    (``term_to_simplex(t)``, or a forged simplex as a negative control),
-    whose jump j names the source coordinate q = n - j + 1.  ``path`` is
-    the term word's `_path_table` at x, which `sampling_oracle` computes
-    once per point for all terms.
+    (v_p + x_{sigma(p)}) / k, the p-th output of the subdivision piece;
+    the simplex side reads component p of ``cell`` (``term_to_simplex(w,
+    v, sigma)``, or a forged simplex as a negative control), whose jump j
+    names the source coordinate q = n - j + 1.  ``path`` is the word's
+    `_path_table` at x, which `sampling_oracle` computes once per point for
+    all pieces.
     """
-    n = len(t.sigma)
+    n = len(sigma)
     for p in range(1, n + 1):
         letter, jump = cell.components[p - 1]
         u = x[(n - jump + 1) - 1]
-        lhs = path[t.block_of(p) - 1][t.sigma[p - 1] - 1]
+        lhs = path[v[p - 1]][sigma[p - 1] - 1]
         rhs = BASEPOINT if u in (0, 1) else (letter, u)
         if lhs != rhs:
             return False
@@ -355,11 +318,11 @@ def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[Fraction,
 
 
 def sampling_oracle(w: Word, n: int, points: Sequence[Sequence[Fraction]]) -> bool:
-    """Check every decomposition term of w against the path at every point."""
-    terms = [(t, term_to_simplex(t)) for t in shuffle_expand(w, n)]
+    """Check every subdivision piece of w against the path at every point."""
+    pieces = [(v, sigma, term_to_simplex(w, v, sigma)) for v, sigma in shuffle_expand(w, n)]
     for x in points:
         path = _path_table(w, x)
-        if not all(term_matches_path(t, x, cell, path) for t, cell in terms):
+        if not all(term_matches_path(v, sigma, x, cell, path) for v, sigma, cell in pieces):
             return False
     return True
 

@@ -69,12 +69,6 @@ class ProductSimplex:
     def n(self) -> int:
         return len(self.components)
 
-    def face(self, i: int) -> "ProductSimplex":
-        return ProductSimplex(
-            self.dim - 1,
-            tuple(cell_face(c, self.dim, i) for c in self.components),
-        )
-
     def is_nondegenerate(self) -> bool:
         jumps = {c[1] for c in self.components if c is not None}
         return jumps.issuperset(range(1, self.dim + 1))
@@ -172,12 +166,18 @@ class PairComplex:
 
 
 def boundary_of_simplex(
-    s: ProductSimplex, basis_index: dict[ProductSimplex, int]
+    s: ProductSimplex, basis_index: dict[tuple[Cell, ...], int]
 ) -> Column:
     """Sorted (index, coefficient) nonzeros of the alternating face sum,
     keeping only faces that stay in the spanning set (nondegenerate,
-    outside Y)."""
-    faces = ((basis_index.get(s.face(i)), (-1) ** i) for i in range(s.dim + 1))
+    outside Y).  `basis_index` maps the components of each basis cell one
+    dimension down to its index, so a face is looked up without building
+    it as a simplex."""
+    d = s.dim
+    faces = (
+        (basis_index.get(tuple(cell_face(c, d, i) for c in s.components)), (-1) ** i)
+        for i in range(d + 1)
+    )
     return tuple(sorted(combine((r, c) for r, c in faces if r is not None).items()))
 
 
@@ -189,7 +189,7 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
     bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
     boundaries: list[tuple[Column, ...]] = [()]
     for d in range(1, d_max + 1):
-        index = {s: i for i, s in enumerate(bases[d - 1])}
+        index = {s.components: i for i, s in enumerate(bases[d - 1])}
         boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
     return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
 

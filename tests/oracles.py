@@ -20,7 +20,7 @@ from loophom.chains import FormalChain
 from loophom.homology import HomologySummary, homology
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import nu_eval
-from loophom.wedge import PairComplex, build_pair_complex
+from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
 from loophom.words import Monomial, Word, WordCombo, combo_magnus
 
 
@@ -81,6 +81,11 @@ def is_ens(v: Sequence[int], sigma: Perm, k: int) -> bool:
     if any(v[p] > v[p + 1] for p in range(len(v) - 1)):
         return False
     return is_shuffle(level_sizes(v, k), sigma)
+
+
+def face(s: ProductSimplex, i: int) -> ProductSimplex:
+    """Face i of a product simplex, taken componentwise."""
+    return ProductSimplex(s.dim - 1, tuple(cell_face(c, s.dim, i) for c in s.components))
 
 
 def reduce_word(w: Word) -> Word:

@@ -1,8 +1,13 @@
 """End-to-end checks of the command-line interface and report format."""
 
+import errno
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +214,83 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
     assert not out.exists()
+
+
+class UnwritableStdout:
+    """A standard output whose every write raises `exc`; its file
+    descriptor is a scratch file's."""
+
+    def __init__(self, exc: OSError, fd: int):
+        self.exc = exc
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise self.exc
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+        OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    ],
+)
+def test_unwritable_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, exc):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", UnwritableStdout(exc, fh.fileno()))
+        code = cli.main(["nu", "--genus", "1", "--n", "2", "--word", "x"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write standard output: {exc.strerror}\n"
+
+
+def run_loophom(argv: list[str], unbuffered: bool, **kwargs) -> subprocess.Popen:
+    """`python -m loophom argv` in a fresh interpreter, this package first
+    on its path, with standard output buffered or (python -u) not."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "loophom", *argv], env=env, **kwargs)
+
+
+STDOUT_MODES = pytest.mark.parametrize(
+    "unbuffered", [False, True], ids=["buffered", "unbuffered"]
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@STDOUT_MODES
+def test_full_stdout_exits_2_without_traceback(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = run_loophom(
+            ["nu", "--genus", "2", "--n", "3", "--word", "xyXY"],
+            unbuffered,
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "error: cannot write standard output: No space left on device\n"
+
+
+@STDOUT_MODES
+def test_closed_pipe_exits_2_without_traceback(unbuffered):
+    # 2.5 MB of JSON: more than a pipe buffers, so the writer is still
+    # writing when the reader goes away
+    argv = ["export-complex", "--genus", "3", "--n", "4", "--json"]
+    proc = run_loophom(argv, unbuffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "cases'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write standard output: Broken pipe\n"
 
 
 @pytest.mark.parametrize(

@@ -29,13 +29,13 @@ def check_snf_contract(a):
     ncols = len(a[0]) if nrows else 0
     u, d, v, vinv = _snf(a, nrows, ncols)
     # U a V = D
-    uav = mat_mul(mat_mul(u, a, inner=nrows), v, inner=ncols)
+    uav = mat_mul(mat_mul(u, a), v)
     assert uav == d
     # unimodular transforms
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
     # V Vinv = I
-    assert mat_mul(v, vinv, inner=ncols) == identity_matrix(ncols)
+    assert mat_mul(v, vinv) == identity_matrix(ncols)
     # diagonal, nonnegative, divisibility chain
     diag = []
     for i in range(nrows):
@@ -385,7 +385,7 @@ def test_mat_mul_matches_reference_on_seeded_sparse_matrices():
         rows, inner, cols = (rng.randint(0, 9) for _ in range(3))
         a = random_sparse_matrix(rng, rows, inner)
         b = random_sparse_matrix(rng, inner, cols)
-        assert mat_mul(a, b, inner=inner) == reference_mat_mul(a, b, inner=inner)
+        assert mat_mul(a, b) == reference_mat_mul(a, b, inner=inner)
         assert mat_mul(a, b) == reference_mat_mul(a, b)
 
 
@@ -413,7 +413,7 @@ def test_snf_matches_reference_property(a):
 def test_mat_mul_matches_reference_property(data, inner):
     a = data.draw(int_matrices(ncols=st.just(inner)))
     b = data.draw(int_matrices(nrows=st.just(inner)))
-    assert mat_mul(a, b, inner=inner) == reference_mat_mul(a, b, inner=inner)
+    assert mat_mul(a, b) == reference_mat_mul(a, b, inner=inner)
 
 
 def random_chain_pair(rng: random.Random, below: int, nd: int, above: int):

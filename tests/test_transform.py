@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophom.homology import homology, smith_normal_form
+from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
     BASEPOINT,
-    ShuffleTerm,
     _path_table,
     naturality_check,
     nu_eval,
@@ -55,14 +55,16 @@ def test_shuffle_expand_counts():
         for n in (1, 2, 3, 4):
             terms = shuffle_expand(w, n)
             assert len(terms) == length**n
-            assert len(set((t.parts, t.sigma) for t in terms)) == len(terms)
-            for t in terms:
-                assert sum(t.parts) == n
-                assert t.sign in (1, -1)
+            assert len(set(terms)) == len(terms)
+            for v, sigma in terms:
+                assert sum(level_sizes(v, length)) == n
+                assert epsilon(sigma) in (1, -1)
 
 
 def test_shuffle_expand_frozen():
-    terms = {(t.parts, t.sigma, t.sign) for t in shuffle_expand(X + X, 2)}
+    terms = {
+        (level_sizes(v, 2), sigma, epsilon(sigma)) for v, sigma in shuffle_expand(X + X, 2)
+    }
     assert terms == {
         ((2, 0), (1, 2), 1),
         ((1, 1), (1, 2), 1),
@@ -81,25 +83,27 @@ def test_shuffle_expand_errors():
 
 
 def test_term_to_simplex_frozen():
-    assert term_to_simplex(ShuffleTerm(X, (2,), (1, 2))) == A
+    assert term_to_simplex(X, (0, 0), (1, 2)) == A
     xy = parse_word("xy")
-    assert term_to_simplex(ShuffleTerm(xy, (1, 1), (1, 2))) == ProductSimplex(
+    assert term_to_simplex(xy, (0, 1), (1, 2)) == ProductSimplex(
         2, ((1, 2), (2, 1))
     )
-    assert term_to_simplex(ShuffleTerm(xy, (1, 1), (2, 1))) == ProductSimplex(
+    assert term_to_simplex(xy, (0, 1), (2, 1)) == ProductSimplex(
         2, ((1, 1), (2, 2))
     )
-    assert term_to_simplex(ShuffleTerm(X, (3,), (1, 2, 3))) == ProductSimplex(
+    assert term_to_simplex(X, (0, 0, 0), (1, 2, 3)) == ProductSimplex(
         3, ((1, 3), (1, 2), (1, 1))
     )
+    with pytest.raises(ValueError):
+        term_to_simplex(X, (0,), (1, 2))
 
 
 def test_terms_land_in_the_canonical_basis():
     for g in (1, 2):
         for w in positive_words(g, 3):
             for n in (1, 2, 3):
-                for t in shuffle_expand(w, n):
-                    s = term_to_simplex(t)
+                for v, sigma in shuffle_expand(w, n):
+                    s = term_to_simplex(w, v, sigma)
                     assert s.is_nondegenerate()
                     assert not in_Y(s)
 
@@ -401,14 +405,14 @@ def test_sampling_oracle_accepts_all_terms():
 
 def test_sampling_oracle_rejects_forged_cells():
     xy = parse_word("xy")
-    t = ShuffleTerm(xy, (1, 1), (1, 2))
+    v, sigma = (0, 1), (1, 2)
     x = (Fraction(1, 3), Fraction(1, 2))
     path = _path_table(xy, x)
-    assert term_matches_path(t, x, term_to_simplex(t), path)
+    assert term_matches_path(v, sigma, x, term_to_simplex(xy, v, sigma), path)
     wrong_letters = ProductSimplex(2, ((2, 2), (1, 1)))
-    assert not term_matches_path(t, x, wrong_letters, path)
+    assert not term_matches_path(v, sigma, x, wrong_letters, path)
     wrong_jumps = ProductSimplex(2, ((1, 1), (2, 2)))
-    assert not term_matches_path(t, x, wrong_jumps, path)
+    assert not term_matches_path(v, sigma, x, wrong_jumps, path)
 
 
 # ---------------------------------------------------------------------------
