@@ -17,7 +17,7 @@ import argparse
 import time
 
 from loophom.cli import group_text
-from loophom.homology import homology
+from loophom.homology import homology_groups
 from loophom.wedge import build_pair_complex
 
 
@@ -31,10 +31,10 @@ def run(max_n: int, max_genus: int) -> None:
             t0 = time.perf_counter()
             cx = build_pair_complex(n, g)
             ranks = [cx.rank(d) for d in range(n + 1)]
-            groups = []
-            for d in range(n + 1):
-                h = homology(cx, d)
-                groups.append(f"H_{d}={group_text(h.rank, h.torsion)}")
+            groups = [
+                f"H_{d}={group_text(rank, torsion)}"
+                for d, (rank, torsion) in enumerate(homology_groups(cx))
+            ]
             ms = int(round((time.perf_counter() - t0) * 1000))
             print(
                 f"g={g} n={n}: chain ranks {ranks}; "

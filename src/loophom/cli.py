@@ -15,12 +15,14 @@ with their defaults.
 Exit status: 0 when the command passed, 1 when a check failed, 2 for usage
 errors, including an ``--out`` file that cannot be written (nothing is
 printed then), a verify flag the suite does not read, and standard output
-that cannot be written (a closed pipe, a full device).
+that cannot be written (a closed pipe, a full device), by a report or by
+``--help``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import json
@@ -39,7 +41,7 @@ from .chains import (
     identity_chain,
 )
 from .affine import f_map, ftilde_map
-from .homology import homology
+from .homology import homology, homology_groups
 from .permutations import (
     bij,
     enumerate_ens,
@@ -147,7 +149,13 @@ def emit(
             lines.append(f"  witness: {json.dumps(report.witness, sort_keys=True)}")
         if report.result is not None and args.out is None:
             lines.append(f"  result: {json.dumps(report.result, sort_keys=True)}")
-    text = "\n".join(lines) + "\n"
+    write_stdout("\n".join(lines) + "\n")
+    return 0 if report.status == "pass" else 1
+
+
+def write_stdout(text: str) -> None:
+    """Write text to standard output and flush it; standard output that
+    cannot be written raises ValueError, a usage error."""
     try:
         # in buffer-sized pieces: an unbuffered stream (python -u) drops
         # without an error the tail of a larger write that a closing pipe
@@ -162,7 +170,6 @@ def emit(
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise ValueError(f"cannot write standard output: {exc.strerror or exc}") from None
-    return 0 if report.status == "pass" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +417,10 @@ def group_text(rank: int, torsion: tuple[int, ...]) -> str:
 def cmd_homology(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cx = build_pair_complex(args.n, args.genus)
-    groups = []
-    for d in range(0, args.n + 1):
-        h = homology(cx, d)
-        groups.append(
-            {
-                "d": d,
-                "rank": h.rank,
-                "torsion": list(h.torsion),
-                "group": group_text(h.rank, h.torsion),
-            }
-        )
+    groups = [
+        {"d": d, "rank": rank, "torsion": list(torsion), "group": group_text(rank, torsion)}
+        for d, (rank, torsion) in enumerate(homology_groups(cx))
+    ]
     ms = int(round((time.perf_counter() - t0) * 1000))
     params = {"genus": args.genus, "n": args.n}
     report = Report(
@@ -563,14 +563,22 @@ def suite_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> d
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        args.params = suite_params(parser, args)
-    for attr in ("genus", "n"):
-        value = getattr(args, attr, None)
-        if value is not None and value < 1:
-            parser.error(f"--{attr} must be at least 1")
     try:
+        # argparse ignores a failed write of its help text and exits 0, so
+        # the text is collected and written the way a report is
+        help_text = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = parser.parse_args(argv)
+        except SystemExit:  # after --help, or a usage error
+            write_stdout(help_text.getvalue())
+            raise
+        if args.command == "verify":
+            args.params = suite_params(parser, args)
+        for attr in ("genus", "n"):
+            value = getattr(args, attr, None)
+            if value is not None and value < 1:
+                parser.error(f"--{attr} must be at least 1")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,12 +26,24 @@ full dense walk gives them:
 * A unit pivot skips the divisibility-repair scan, since ``x % ±1 == 0``.
 * A column operation ``col_j -= q col_t`` touches only the rows whose
   column-t entry is nonzero; the others would lose ``q * 0``.
+
+Ranks and torsion alone need no coordinates.  `homology_groups` reads them
+from the invariant factors of each boundary, which `invariant_factors`
+finds on the stored sparse columns: it eliminates on a ±1 entry of each
+column in turn, each of which splits off a factor 1, and hands whatever
+no unit pivoted to the dense `_snf`.  So invariants come from sparse unit
+elimination; coordinates, which need the transforms, from the dense
+deterministic reduction in `homology`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Protocol, Sequence
+
+from .wedge import Column
+from .words import combine
 
 Matrix = list[list[int]]
 
@@ -265,3 +277,84 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
         _uprime=tuple(tuple(r) for r in uprime),
         _bdry_diag=diag,
     )
+
+
+def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
+    """The nonzero Smith diagonal, in order, of the matrix with nrows rows
+    and the given sparse columns.
+
+    A ±1 entry splits off a factor 1: clearing its row from the other
+    columns leaves the matrix with that row and column removed.  Each
+    column in turn pivots on its first unit, if it has one; what no unit
+    pivoted goes, compacted, through `_snf`.  The factors do not depend on
+    the pivot order.
+    """
+    cols = [dict(column) for column in columns]
+    rows: list[set[int]] = [set() for _ in range(nrows)]  # row -> its columns
+    for j, col in enumerate(cols):
+        for r in col:
+            rows[r].add(j)
+    factors = []
+    for j, pivot in enumerate(cols):
+        r = next((r for r, x in pivot.items() if x in (1, -1)), None)
+        if r is None:
+            continue
+        p = pivot[r]
+        for k in rows[r] - {j}:
+            old = cols[k]
+            q = old[r] * p  # old[r] / p, as p is a unit
+            new = combine(itertools.chain(old.items(), ((s, -q * x) for s, x in pivot.items())))
+            for s in old.keys() - new.keys():
+                rows[s].discard(k)
+            for s in new.keys() - old.keys():
+                rows[s].add(k)
+            cols[k] = new
+        for s in pivot:
+            rows[s].discard(j)
+        cols[j] = {}
+        factors.append(1)
+    left = [col for col in cols if col]
+    index = {r: i for i, r in enumerate(sorted(set().union(*left)))}
+    dense = [[0] * len(left) for _ in index]
+    for c, col in enumerate(left):
+        for r, x in col.items():
+            dense[index[r]][c] = x
+    _, d, _, _ = _snf(dense, len(index), len(left))
+    factors.extend(d[i][i] for i in range(min(len(index), len(left))) if d[i][i])
+    return factors
+
+
+class SparseComplexLike(Protocol):
+    """What `homology_groups` reads of a `wedge.PairComplex`: the power n,
+    the chain ranks and the sparse boundaries up to degree n + 1."""
+
+    n: int
+
+    def rank(self, d: int) -> int: ...
+
+    @property
+    def boundaries(self) -> Sequence[Sequence[Column]]: ...
+
+
+def homology_groups(cx: SparseComplexLike) -> list[tuple[int, tuple[int, ...]]]:
+    """(rank, torsion) of the homology at each degree 0..n, from the
+    invariant factors of each boundary, computed once: rank H_d is
+    dim C_d - r_d - r_(d+1) for boundary ranks r, and the torsion of H_d is
+    the factors of the degree-(d+1) boundary above 1."""
+    n = cx.n
+    for d in range(1, n + 1):  # each column of the product of d and d + 1
+        below = cx.boundaries[d]
+        for column in cx.boundaries[d + 1]:
+            terms = ((s, c * x) for r, c in column for s, x in below[r])
+            if combine(terms):
+                raise ValueError("not a chain complex: consecutive boundaries do not vanish")
+    factors = [[]] + [
+        invariant_factors(cx.boundaries[d], cx.rank(d - 1)) for d in range(1, n + 2)
+    ]
+    return [
+        (
+            cx.rank(d) - len(factors[d]) - len(factors[d + 1]),
+            tuple(x for x in factors[d + 1] if x > 1),
+        )
+        for d in range(n + 1)
+    ]

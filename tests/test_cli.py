@@ -126,6 +126,19 @@ def test_homology_report(capsys):
     assert [g["group"] for g in report["result"]["groups"]] == ["0", "Z^2"]
 
 
+@pytest.mark.parametrize(
+    "genus, n, top", [(3, 4, "Z^120"), (2, 5, "Z^62")], ids=["n4g3", "n5g2"]
+)
+def test_homology_past_the_dense_scaling_wall(capsys, genus, n, top):
+    # the dense reduction took 34 s for the top degree alone at (4, 3) and
+    # never finished at (5, 2)
+    code, report = run_json(capsys, "homology", "--genus", str(genus), "--n", str(n))
+    assert code == 0
+    groups = report["result"]["groups"]
+    assert [g["group"] for g in groups] == ["0"] * n + [top]
+    assert all(g["torsion"] == [] for g in groups)
+
+
 def test_export_complex_file_format(tmp_path, capsys):
     out = tmp_path / "cx.json"
     code, _ = run(capsys, "export-complex", "--genus", "1", "--n", "2", "--out", str(out))
@@ -249,6 +262,28 @@ def test_unwritable_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, exc):
     assert capsys.readouterr().err == f"error: cannot write standard output: {exc.strerror}\n"
 
 
+HELP_ARGVS = pytest.mark.parametrize(
+    "argv", [["--help"], ["homology", "--help"], ["verify", "-h"]], ids=" ".join
+)
+
+
+@HELP_ARGVS
+def test_help_to_unwritable_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    exc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", UnwritableStdout(exc, fh.fileno()))
+        code = cli.main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write standard output: {exc.strerror}\n"
+
+
+def test_help_is_still_printed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["homology", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: loophom homology")
+
+
 def run_loophom(argv: list[str], unbuffered: bool, **kwargs) -> subprocess.Popen:
     """`python -m loophom argv` in a fresh interpreter, this package first
     on its path, with standard output buffered or (python -u) not."""
@@ -275,6 +310,17 @@ def test_full_stdout_exits_2_without_traceback(unbuffered):
             unbuffered,
             stdout=full, stderr=subprocess.PIPE, text=True,
         )
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@STDOUT_MODES
+@HELP_ARGVS
+def test_help_to_full_stdout_exits_2_without_traceback(unbuffered, argv):
+    with open("/dev/full", "w") as full:
+        proc = run_loophom(argv, unbuffered, stdout=full, stderr=subprocess.PIPE, text=True)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == "error: cannot write standard output: No space left on device\n"

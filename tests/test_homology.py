@@ -16,7 +16,9 @@ from loophom.homology import (
     _snf,
     det,
     homology,
+    homology_groups,
     identity_matrix,
+    invariant_factors,
     mat_mul,
     mat_vec,
     smith_normal_form,
@@ -567,3 +569,125 @@ def test_homology_summaries_match_pins(n, g):
         for d in range(n + 2)
     )
     assert digests == HOMOLOGY_PINS[n, g]
+
+
+# ---------------------------------------------------------------------------
+# Invariants from sparse unit elimination, against the dense reduction.
+# ---------------------------------------------------------------------------
+
+
+def columns_of(a: Sequence[Sequence[int]], ncols: int) -> list[tuple[tuple[int, int], ...]]:
+    """The sparse columns of a, stored the way the pair complex stores its
+    boundaries."""
+    return [tuple((r, row[c]) for r, row in enumerate(a) if row[c]) for c in range(ncols)]
+
+
+def reference_factors(a: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[int]:
+    _, d, _, _ = reference_snf(a, nrows, ncols)
+    return [d[i][i] for i in range(min(nrows, ncols)) if d[i][i]]
+
+
+@pytest.fixture
+def remainders(monkeypatch) -> list[tuple[int, int]]:
+    """The shape of every matrix `invariant_factors` hands to `_snf`."""
+    shapes = []
+
+    def spy(a, nrows, ncols):
+        shapes.append((nrows, ncols))
+        return _snf(a, nrows, ncols)
+
+    monkeypatch.setattr("loophom.homology._snf", spy)
+    return shapes
+
+
+def test_invariant_factors_match_reference_on_seeded_matrices(remainders):
+    rng = random.Random(3000)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, 4, 6)
+    matrices = list(BRANCH_EXAMPLES)
+    for _ in range(3000):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        matrices.append([[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)])
+    for _ in range(300):
+        matrices.append(random_sparse_matrix(rng, rng.randint(0, 14), rng.randint(0, 14)))
+    for a in matrices:
+        nrows = len(a)
+        ncols = len(a[0]) if nrows else 0
+        assert invariant_factors(columns_of(a, ncols), nrows) == reference_factors(a, nrows, ncols)
+    assert sum(1 for r, c in remainders if r and c) > 100  # the dense remainder ran
+
+
+NON_UNITS = st.sampled_from((0, 0, 2, -2, 3, -4, 6, 9))
+
+
+@st.composite
+def matrices_of(draw, entries):
+    r, c = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return [draw(st.lists(entries, min_size=c, max_size=c)) for _ in range(r)]
+
+
+def test_invariant_factors_match_reference_property(remainders):
+    """Torsion included; matrices without a unit leave everything to the
+    dense remainder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(int_matrices(), matrices_of(NON_UNITS)))
+    def check(a):
+        nrows = len(a)
+        ncols = len(a[0]) if nrows else 0
+        assert invariant_factors(columns_of(a, ncols), nrows) == reference_factors(a, nrows, ncols)
+
+    check()
+    assert any(r and c for r, c in remainders)
+
+
+def test_invariant_factors_split_off_units_before_the_remainder(remainders):
+    # the one unit clears its row and column, leaving [[2, 4], [6, 8]],
+    # whose invariant factors are 2 and 4
+    a = [[1, 5, 7], [3, 17, 25], [0, 6, 8]]
+    assert invariant_factors(columns_of(a, 3), 3) == [1, 2, 4]
+    assert remainders == [(2, 2)]
+
+
+@dataclass
+class SparseStub:
+    n: int
+    ranks: dict[int, int]
+    boundaries: dict[int, list]
+
+    def rank(self, d: int) -> int:
+        return self.ranks.get(d, 0)
+
+
+@pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
+def test_homology_groups_match_homology(n, g):
+    cx = build_pair_complex(n, g)
+    expected = [(homology(cx, d).rank, homology(cx, d).torsion) for d in range(n + 1)]
+    assert homology_groups(cx) == expected
+
+
+def test_homology_groups_reject_exactly_nonzero_products_on_random_pairs():
+    """The pairs of `test_chain_check_rejects_exactly_nonzero_products_on_random_pairs`,
+    given as sparse columns; where the product vanishes, the groups are the
+    dense ones, torsion included."""
+    rng = random.Random(5150)
+    outcomes = []
+    torsion = 0
+    for trial in range(300):
+        below, nd, above = (rng.randint(0, 7) for _ in range(3))
+        a, b = random_chain_pair(rng, below, nd, above)
+        if trial % 5:
+            perturb_one_entry(rng, a, b)
+        bad = any(any(row) for row in reference_mat_mul(a, b, inner=nd))
+        ranks = {0: below, 1: nd, 2: above}
+        sparse = SparseStub(1, ranks, {1: columns_of(a, nd), 2: columns_of(b, above)})
+        if bad:
+            with pytest.raises(ValueError, match="not a chain complex"):
+                homology_groups(sparse)
+        else:
+            dense = StubComplex(ranks, {1: a, 2: b})
+            expected = [(homology(dense, d).rank, homology(dense, d).torsion) for d in (0, 1)]
+            assert homology_groups(sparse) == expected
+            torsion += any(t for _, t in expected)
+        outcomes.append(bad)
+    assert 50 < sum(outcomes) < 250  # both verdicts are exercised
+    assert torsion > 0
