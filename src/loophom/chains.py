@@ -35,6 +35,7 @@ from .affine import (
     vertex_E,
 )
 from .permutations import enumerate_ens, epsilon
+from .words import combine
 
 
 class FormalChain:
@@ -53,18 +54,16 @@ class FormalChain:
     ):
         self.domain_dim = domain_dim
         self.codomain_dim = codomain_dim
-        acc: dict[AffineSimplexMap, int] = {}
-        for m, c in terms:
-            if m.domain_dim != domain_dim or m.codomain_dim != codomain_dim:
-                raise ValueError(
-                    f"term {m} is not a map D^{domain_dim} -> R^{codomain_dim}"
-                )
-            c += acc.get(m, 0)
-            if c:
-                acc[m] = c
-            else:
-                acc.pop(m, None)
-        self.terms = acc
+
+        def checked():
+            for m, c in terms:
+                if m.domain_dim != domain_dim or m.codomain_dim != codomain_dim:
+                    raise ValueError(
+                        f"term {m} is not a map D^{domain_dim} -> R^{codomain_dim}"
+                    )
+                yield m, c
+
+        self.terms = combine(checked())
 
     # -- structure ---------------------------------------------------------
 

@@ -13,7 +13,10 @@ cover every slot, i.e. {jumps} contains [1, d].  The subspace quotiented
 out (written Y here) is the union of: first component at the basepoint,
 last component at the basepoint, and two consecutive components equal.
 Chain groups are spanned by the nondegenerate simplices outside Y, and the
-boundary drops faces that leave that spanning set.
+boundary drops faces that leave that spanning set.  `enumerate_basis`
+walks only those cells.  It lists them in canonical order: lexicographic
+in the components, where the basepoint comes first, then generators
+ascending and, within a generator, jumps descending.
 
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
@@ -65,17 +68,9 @@ class ProductSimplex:
                 if not 1 <= j <= self.dim:
                     raise ValueError(f"jump {j} out of range for dimension {self.dim}")
 
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
     def is_nondegenerate(self) -> bool:
         jumps = {c[1] for c in self.components if c is not None}
         return jumps.issuperset(range(1, self.dim + 1))
-
-    def sort_key(self):
-        d = self.dim
-        return tuple((0, 0) if c is None else (c[0], d - c[1] + 1) for c in self.components)
 
 
 def in_Y(s: ProductSimplex) -> bool:
@@ -96,41 +91,36 @@ def simplex_str(s: ProductSimplex, alphabet: str = LETTER_POOL) -> str:
     return "(" + ",".join(parts) + ")"
 
 
-def _cells(g: int, d: int) -> list[Cell]:
-    out: list[Cell] = [None]
-    out.extend((e, j) for e in range(1, g + 1) for j in range(1, d + 1))
-    return out
+def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
+    """Basis of the relative chain group: the nondegenerate d-simplices
+    outside Y, in canonical order.
 
-
-def enumerate_nondegenerate(n: int, g: int, d: int) -> list[ProductSimplex]:
-    """All nondegenerate d-simplices of the n-fold product (Y included),
-    in canonical order."""
+    A depth-first walk that emits exactly these cells, no Y cell and no
+    degenerate one.  It prunes a branch once the components left are too
+    few to cover the missing jumps, and never places the basepoint first
+    or last or a cell equal to the one before it.  Each component tries
+    its cells in canonical order, so the walk emits them sorted."""
     if d > n:
         return []  # n components supply at most n jumps, too few to cover
+    cells: list[Cell] = [None]
+    cells.extend((e, j) for e in range(1, g + 1) for j in range(d, 0, -1))
+    out: list[ProductSimplex] = []
 
-    def walk(pos: int, remaining_slots: frozenset[int], acc: list[Cell]):
-        if n - pos < len(remaining_slots):
-            return  # not enough components left to cover the missing jumps
+    def walk(acc: tuple[Cell, ...], missing: frozenset[int]) -> None:
+        pos = len(acc)
         if pos == n:
-            yield ProductSimplex(d, tuple(acc))
+            out.append(ProductSimplex(d, acc))
             return
-        for c in _cells(g, d):
-            acc.append(c)
-            yield from walk(
-                pos + 1,
-                remaining_slots - {c[1]} if c is not None else remaining_slots,
-                acc,
-            )
-            acc.pop()
+        prev = acc[-1] if acc else None  # the basepoint may not go first
+        for c in cells:
+            if c == prev or (c is None and pos == n - 1):
+                continue
+            rest = missing if c is None else missing - {c[1]}
+            if len(rest) < n - pos:  # the n-pos-1 components left can cover
+                walk(acc + (c,), rest)
 
-    found = list(walk(0, frozenset(range(1, d + 1)), []))
-    return sorted(found, key=ProductSimplex.sort_key)
-
-
-def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
-    """Canonically ordered basis of the relative chain group: nondegenerate
-    d-simplices outside Y."""
-    return [s for s in enumerate_nondegenerate(n, g, d) if not in_Y(s)]
+    walk((), frozenset(range(1, d + 1)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,14 @@ def face(s: ProductSimplex, i: int) -> ProductSimplex:
     return ProductSimplex(s.dim - 1, tuple(cell_face(c, s.dim, i) for c in s.components))
 
 
+def canonical_key(s: ProductSimplex) -> tuple[tuple[int, int], ...]:
+    """Sort key of the canonical basis order, componentwise: the basepoint
+    first, then generators ascending and, within a generator, jumps
+    descending."""
+    d = s.dim
+    return tuple((0, 0) if c is None else (c[0], d - c[1] + 1) for c in s.components)
+
+
 def reduce_word(w: Word) -> Word:
     """Free reduction (cancel adjacent inverse pairs); idempotent.
 

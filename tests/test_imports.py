@@ -188,8 +188,8 @@ def test_no_library_function_exists_only_for_the_tests():
 
 
 # the accumulators that may drop a zero coefficient by hand: the shared
-# one, the Magnus kernel kept apart for speed, and the chains layer's own
-ZERO_DROPPERS = {"words.combine", "words.tensor_mul", "chains.FormalChain.__init__"}
+# one and the Magnus kernel kept apart for speed
+ZERO_DROPPERS = {"words.combine", "words.tensor_mul"}
 
 
 def _deletes_a_key(node: ast.AST) -> bool:
