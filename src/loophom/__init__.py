@@ -7,8 +7,9 @@ partial diagonals of the n-fold product:
 
 * ``permutations`` -- signs, block shuffles, the face permutation, a
   sign-reversing involution, and the boundary bijection;
-* ``affine`` -- exact affine maps between standard simplices (vertices,
-  faces, subdivision pieces);
+* ``affine`` -- exact affine maps between standard simplices, stored as
+  one integer denominator and integer vertex rows (faces, subdivision
+  pieces, composites);
 * ``chains`` -- integer chains of affine maps, the subdivision operator
   div, its commutation with the boundary, and an explicit chain homotopy;
 * ``words`` -- free-group words, Magnus coordinates, truncated group-algebra

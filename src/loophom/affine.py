@@ -1,4 +1,4 @@
-"""Exact-rational affine maps between order simplices.
+"""Exact affine maps between order simplices, stored as integers.
 
 The model of the q-simplex used throughout is the order simplex
 
@@ -6,8 +6,14 @@ The model of the q-simplex used throughout is the order simplex
 
 whose vertices ``E(q, 0), ..., E(q, q)`` are the 0/1 points with a suffix of
 ones: ``E(q, i)`` has its last ``i`` coordinates equal to 1.  An affine map
-is stored by the tuple of images of these vertices, which determines it
-uniquely; two maps are equal exactly when their vertex-image tuples are.
+is determined by the images of these vertices.  It is stored as one positive
+common denominator ``den`` and a tuple ``nums`` of integer numerator rows,
+``nums[i] / den`` being the image of ``E(q, i)``, divided through so that
+gcd(den, every numerator) = 1.  That form is canonical: two maps are equal,
+and hash alike, exactly when their vertex images are equal.  Every vertex of
+a degree-k subdivision piece has denominator k, so composing, slicing and
+comparing maps is integer arithmetic; ``vertices`` gives the images as
+``fractions.Fraction`` tuples at the API edge.
 
 Conventions that differ from the most common ones and are load-bearing:
 
@@ -17,8 +23,8 @@ Conventions that differ from the most common ones and are load-bearing:
 * the degree-k subdivision piece for a pair ``(v, sigma)`` is
   ``x |-> (v + sigma* x) / k`` where ``(sigma* x)_p = x_{sigma(p)}``.
 
-Coordinates are exact -- integers or ``fractions.Fraction`` -- and are
-kept as given: no floats appear, and a map never re-coerces its vertices.
+Coordinates are exact: a map accepts integer and ``Fraction`` vertex
+coordinates and rejects floats and anything else that is not rational.
 """
 
 from __future__ import annotations
@@ -26,11 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from numbers import Rational
+from operator import add, mul, sub
 from typing import Sequence
 
 from .permutations import InvolPoint, Perm, act_on_coords, point_sign
 
 Point = tuple[Fraction, ...]
+Rows = tuple[tuple[int, ...], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,75 +59,126 @@ def vertex_E(n: int, i: int) -> Point:
     return (_ZERO,) * (n - i) + (_ONE,) * i
 
 
-@dataclass(frozen=True)
-class AffineSimplexMap:
-    """An affine map D^q -> R^p, canonically the tuple of vertex images.
+def _corner(n: int, i: int, scale: int = 1) -> tuple[int, ...]:
+    """The integer row scale * E(n, i)."""
+    return (0,) * (n - i) + (scale,) * i
 
-    ``vertices[i]`` is the image of ``E(q, i)``; the domain dimension is
-    implicit (one less than the number of vertices).
+
+def _fill(m: AffineSimplexMap, codomain_dim: int, den: int, nums: Rows) -> None:
+    """Set the fields of a new map, past its frozen ``__setattr__``."""
+    setattr_ = object.__setattr__
+    setattr_(m, "codomain_dim", codomain_dim)
+    setattr_(m, "den", den)
+    setattr_(m, "nums", nums)
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
+class AffineSimplexMap:
+    """An affine map D^q -> R^p, canonically ``(codomain_dim, den, nums)``.
+
+    ``AffineSimplexMap(p, vertices)`` takes the vertex images: ``vertices[i]``
+    is the image of ``E(q, i)``, and the domain dimension is one less than
+    their number.
+
+    >>> m = AffineSimplexMap(2, ((0, 0), (Fraction(1, 2), Fraction(1, 3))))
+    >>> m.den, m.nums
+    (6, ((0, 0), (3, 2)))
+    >>> m == AffineSimplexMap(2, ((0, 0), (Fraction(2, 4), Fraction(1, 3))))
+    True
     """
 
     codomain_dim: int
-    vertices: tuple[Point, ...]
+    den: int
+    nums: Rows
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, codomain_dim: int, vertices: Sequence[Sequence]):
+        if not vertices:
             raise ValueError("an affine map needs at least one vertex image")
-        for v in self.vertices:
-            if len(v) != self.codomain_dim:
-                raise ValueError(
-                    f"vertex image {v} does not live in R^{self.codomain_dim}"
-                )
+        for v in vertices:
+            if len(v) != codomain_dim:
+                raise ValueError(f"vertex image {v} does not live in R^{codomain_dim}")
+            for c in v:
+                if not isinstance(c, Rational):
+                    raise ValueError(
+                        f"coordinate {c!r} of vertex image {v} is not an integer or a Fraction"
+                    )
+        # the least common denominator of reduced fractions leaves no common
+        # factor with the numerators, so the rows are already canonical
+        den = lcm(*(c.denominator for v in vertices for c in v))
+        nums = tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices)
+        _fill(self, codomain_dim, den, nums)
+
+    def __repr__(self) -> str:
+        return f"AffineSimplexMap(codomain_dim={self.codomain_dim!r}, vertices={self.vertices!r})"
 
     @property
     def domain_dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.nums) - 1
 
-    def apply(self, x: Sequence) -> Point:
-        """Evaluate at a point of D^q.
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertex images as exact rationals."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)
 
-        Writing x = E(q, 0) + sum_j x_j e_j with e_j = E(q, q-j+1) - E(q, q-j),
-        the image is P_0 + sum_j x_j (P_{q-j+1} - P_{q-j}).
-        """
-        q = self.domain_dim
-        if len(x) != q:
-            raise ValueError(f"expected a point of D^{q}, got {len(x)} coordinates")
-        out = list(self.vertices[0])
-        for j, t in enumerate(x, start=1):
-            if not t:
-                continue
-            hi = self.vertices[q - j + 1]
-            lo = self.vertices[q - j]
-            for c in range(self.codomain_dim):
-                out[c] += t * (hi[c] - lo[c])
-        return tuple(out)
+
+def _from_numerators(codomain_dim: int, den: int, nums: Rows) -> AffineSimplexMap:
+    """The map with vertex images ``nums[i] / den``, put in canonical form.
+    Trusts its input: den > 0 and every row has codomain_dim integers."""
+    if not nums:
+        raise ValueError("an affine map needs at least one vertex image")
+    common = den
+    for row in nums:
+        if common == 1:
+            break
+        common = gcd(common, *row)
+    if common > 1:
+        den //= common
+        nums = tuple(tuple(x // common for x in row) for row in nums)
+    m = object.__new__(AffineSimplexMap)
+    _fill(m, codomain_dim, den, nums)
+    return m
 
 
 def identity_map(n: int) -> AffineSimplexMap:
-    return AffineSimplexMap(n, tuple(vertex_E(n, i) for i in range(n + 1)))
+    return _from_numerators(n, 1, tuple(_corner(n, i) for i in range(n + 1)))
 
 
 def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
-    """The composite g o f, by pushing f's vertex images through g."""
+    """The composite g o f, by pushing f's vertex images through g.
+
+    Over numerators, with f = F / d_f and g = G / d_g on D^q, row i of the
+    composite is (d_f G_0 + sum_j F_ij (G_{q-j+1} - G_{q-j})) / (d_f d_g).
+    """
     if f.codomain_dim != g.domain_dim:
         raise ValueError(
             f"cannot compose: inner map lands in R^{f.codomain_dim}, "
             f"outer map starts on D^{g.domain_dim}"
         )
-    return AffineSimplexMap(g.codomain_dim, tuple(g.apply(v) for v in f.vertices))
+    G = g.nums
+    q = len(G) - 1
+    # steps[j-1] = G_{q-j+1} - G_{q-j}, read one codomain coordinate at a time
+    steps = [tuple(map(sub, G[q - j + 1], G[q - j])) for j in range(1, q + 1)]
+    columns = tuple(zip(*steps)) if q else ((),) * g.codomain_dim
+    d_f = f.den
+    base = [d_f * x for x in G[0]]
+    rows = tuple(
+        tuple(b + sum(map(mul, row, col)) for b, col in zip(base, columns)) for row in f.nums
+    )
+    return _from_numerators(g.codomain_dim, d_f * g.den, rows)
 
 
 @lru_cache(maxsize=None)
 def face_map(n: int, i: int) -> AffineSimplexMap:
     """The i-th face D^{n-1} -> D^n: the vertex list omits E(n, n-i).
 
-    >>> face_map(2, 1).apply((Fraction(1, 3),))
-    (Fraction(1, 3), Fraction(1, 3))
+    >>> face_map(2, 1).vertices
+    ((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 1)))
     """
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
-    verts = tuple(vertex_E(n, j) for j in range(n + 1) if j != n - i)
-    return AffineSimplexMap(n, verts)
+    rows = tuple(_corner(n, j) for j in range(n + 1) if j != n - i)
+    return _from_numerators(n, 1, rows)
 
 
 @lru_cache(maxsize=None)
@@ -128,35 +189,42 @@ def subdivision_piece(v: tuple[int, ...], sigma: Perm, k: int) -> AffineSimplexM
     shuffle of its level sets, the map sends D^n into D^n; the k^n such
     pieces tile D^n.
 
-    >>> subdivision_piece((1,), (1,), 2).apply((Fraction(1, 3),))
-    (Fraction(2, 3),)
+    >>> subdivision_piece((1,), (1,), 2).vertices
+    ((Fraction(1, 2),), (Fraction(1, 1),))
     """
     n = len(v)
     if len(sigma) != n:
         raise ValueError("vector and permutation sizes differ")
     if k < 1:
         raise ValueError("subdivision arity must be >= 1")
-    verts = []
-    for i in range(n + 1):
-        moved = act_on_coords(sigma, vertex_E(n, i))
-        verts.append(tuple(Fraction(v[p] + moved[p], k) for p in range(n)))
-    return AffineSimplexMap(n, tuple(verts))
+    rows = tuple(tuple(map(add, v, act_on_coords(sigma, _corner(n, i)))) for i in range(n + 1))
+    return _from_numerators(n, k, rows)
+
+
+def cone(m: AffineSimplexMap, apex_index: int) -> AffineSimplexMap:
+    """The map D^{q+1} -> R^p whose vertex images are m's followed by the
+    apex E(p, apex_index)."""
+    p = m.codomain_dim
+    if not 0 <= apex_index <= p:
+        raise ValueError(f"apex index {apex_index} out of range for D^{p}")
+    return _from_numerators(p, m.den, m.nums + (_corner(p, apex_index, m.den),))
 
 
 def f_map(x: InvolPoint, k: int) -> tuple[AffineSimplexMap, int]:
     """The composite (subdivision piece) o (i-th face), with sign (-1)^i eps.
 
     The face's vertex list is the full E-list of D^n minus E(n, n-i), so the
-    composite's vertex list is the piece's with index n-i dropped -- no
-    arithmetic needed beyond building the piece itself.
+    composite's numerator rows are the piece's with row n-i dropped -- no
+    arithmetic needed beyond building the piece and dividing out what the
+    remaining rows share with k.
     """
     v, sigma, i = x
     n = len(v)
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
     piece = subdivision_piece(tuple(v), sigma, k)
-    verts = piece.vertices[: n - i] + piece.vertices[n - i + 1:]
-    return AffineSimplexMap(n, verts), point_sign(sigma, i)
+    rows = piece.nums[: n - i] + piece.nums[n - i + 1:]
+    return _from_numerators(n, piece.den, rows), point_sign(sigma, i)
 
 
 def ftilde_map(w: Sequence[int], tau: Perm, i: int, k: int) -> tuple[AffineSimplexMap, int]:

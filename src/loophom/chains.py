@@ -29,10 +29,10 @@ from typing import Iterable
 from .affine import (
     AffineSimplexMap,
     compose,
+    cone,
     face_map,
     identity_map,
     subdivision_piece,
-    vertex_E,
 )
 from .permutations import enumerate_ens, epsilon
 from .words import combine
@@ -180,10 +180,9 @@ def cone_homotopy(x: FormalChain, apex_index: int = 0) -> FormalChain:
     p = x.codomain_dim
     if not 0 <= apex_index <= p:
         raise ValueError(f"apex index {apex_index} out of range for D^{p}")
-    apex = vertex_E(p, apex_index)
     return FormalChain(
         x.domain_dim + 1, p,
-        ((AffineSimplexMap(p, m.vertices + (apex,)), c) for m, c in x.terms.items()),
+        ((cone(m, apex_index), c) for m, c in x.terms.items()),
     )
 
 

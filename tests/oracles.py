@@ -48,6 +48,40 @@ def is_simplex_valued(m: AffineSimplexMap) -> bool:
     return all(in_simplex(v) for v in m.vertices)
 
 
+def apply(m: AffineSimplexMap, x: Sequence) -> Point:
+    """Evaluate m at a point of D^q, in exact rationals.
+
+    Writing x = E(q, 0) + sum_j x_j e_j with e_j = E(q, q-j+1) - E(q, q-j),
+    the image is P_0 + sum_j x_j (P_{q-j+1} - P_{q-j}).
+    """
+    q = m.domain_dim
+    if len(x) != q:
+        raise ValueError(f"expected a point of D^{q}, got {len(x)} coordinates")
+    verts = m.vertices
+    out = list(verts[0])
+    for j, t in enumerate(x, start=1):
+        hi, lo = verts[q - j + 1], verts[q - j]
+        for c in range(m.codomain_dim):
+            out[c] += t * (hi[c] - lo[c])
+    return tuple(out)
+
+
+def compose_pointwise(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
+    """g o f, by evaluating g at each of f's vertex images."""
+    return AffineSimplexMap(g.codomain_dim, tuple(apply(g, v) for v in f.vertices))
+
+
+def piece_pointwise(v: Sequence[int], sigma: Perm, k: int) -> AffineSimplexMap:
+    """The subdivision piece x |-> (v + sigma* x) / k, from its definition:
+    vertex i is (v + sigma* E(n, i)) / k."""
+    n = len(v)
+    verts = []
+    for i in range(n + 1):
+        corner = (Fraction(0),) * (n - i) + (Fraction(1),) * i
+        verts.append(tuple((v[p] + corner[sigma[p] - 1]) / k for p in range(n)))
+    return AffineSimplexMap(n, tuple(verts))
+
+
 def pointwise_face(n: int, i: int, x: Sequence) -> Point:
     """The i-th face evaluated directly: duplicate the i-th coordinate,
     with t_0 = 0 and t_n = 1 at the ends."""

@@ -9,13 +9,18 @@ reruns them at the full stated bounds.
 from __future__ import annotations
 
 import itertools
+import random
+import re
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loophom.affine import (
     AffineSimplexMap,
+    _from_numerators,
     compose,
     f_map,
     face_map,
@@ -25,7 +30,15 @@ from loophom.affine import (
     vertex_E,
 )
 from loophom.permutations import bij, enumerate_ens, invol
-from oracles import constant_map, in_simplex, is_simplex_valued, pointwise_face
+from oracles import (
+    apply,
+    compose_pointwise,
+    constant_map,
+    in_simplex,
+    is_simplex_valued,
+    piece_pointwise,
+    pointwise_face,
+)
 
 F = Fraction
 
@@ -69,15 +82,40 @@ def test_map_equality_is_vertex_list_equality():
     assert a != AffineSimplexMap(1, ((0,), (F(1, 2),)))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, "a", 1j, Decimal("0.5")])
+def test_inexact_coordinates_are_rejected(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        AffineSimplexMap(1, ((bad,), (1,)))
+
+
+def test_canonical_form_divides_out_common_factors():
+    a = AffineSimplexMap(1, ((0,), (1,)))
+    b = AffineSimplexMap(1, ((F(0),), (F(2, 2),)))
+    assert (a.den, a.nums) == (b.den, b.nums) == (1, ((0,), (1,)))
+    c = _from_numerators(2, 6, ((0, 2), (4, 6)))
+    d = AffineSimplexMap(2, ((0, F(1, 3)), (F(2, 3), 1)))
+    assert (c.den, c.nums) == (d.den, d.nums) == (3, ((0, 1), (2, 3)))
+    assert c == d and hash(c) == hash(d)
+    assert _from_numerators(0, 4, ((),)) == identity_map(0)
+    with pytest.raises(ValueError, match="at least one vertex image"):
+        f_map(((), (), 0), 2)
+
+
+def test_maps_are_immutable():
+    m = identity_map(1)
+    with pytest.raises(AttributeError):
+        m.den = 2
+
+
 def test_apply_sends_defining_vertices_to_their_images():
     m = AffineSimplexMap(2, ((0, 0), (F(1, 3), F(1, 2)), (1, 1)))
     for i in range(3):
-        assert m.apply(vertex_E(2, i)) == m.vertices[i]
+        assert apply(m, vertex_E(2, i)) == m.vertices[i]
 
 
 def test_apply_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        identity_map(2).apply((F(1, 2),))
+        apply(identity_map(2), (F(1, 2),))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +126,7 @@ def test_apply_rejects_wrong_arity():
 def test_face_map_frozen_examples():
     assert face_map(1, 0).vertices == ((F(0),),)
     assert face_map(1, 1).vertices == ((F(1),),)
-    assert face_map(2, 1).apply((F(1, 3),)) == (F(1, 3), F(1, 3))
+    assert apply(face_map(2, 1), (F(1, 3),)) == (F(1, 3), F(1, 3))
 
 
 def test_face_map_matches_pointwise_formula():
@@ -96,7 +134,7 @@ def test_face_map_matches_pointwise_formula():
         for i in range(0, n + 1):
             fm = face_map(n, i)
             for x in simplex_points(n - 1):
-                assert fm.apply(x) == pointwise_face(n, i, x)
+                assert apply(fm, x) == pointwise_face(n, i, x)
 
 
 def test_simplicial_face_identity():
@@ -134,7 +172,7 @@ def test_compose_agrees_with_pointwise_composition():
     f = face_map(3, 2)
     gf = compose(g, f)
     for x in simplex_points(2):
-        assert gf.apply(x) == g.apply(f.apply(x))
+        assert apply(gf, x) == apply(g, apply(f, x))
 
 
 def test_compose_dimension_mismatch():
@@ -157,7 +195,7 @@ def test_subdivision_piece_frozen_examples():
     assert subdivision_piece((0, 0), (1, 2), 1) == identity_map(2)
 
     half = subdivision_piece((1,), (1,), 2)
-    assert half.apply((F(1, 3),)) == (F(2, 3),)
+    assert apply(half, (F(1, 3),)) == (F(2, 3),)
     assert half.vertices == ((F(1, 2),), (F(1),))
 
     m = subdivision_piece((0, 1), (2, 1), 2)
@@ -176,7 +214,7 @@ def test_subdivision_pieces_tile_volume():
     # each piece at k=2 and check they are pairwise distinct
     n, k = 2, 2
     barycenter = (F(1, 3), F(2, 3))
-    images = [subdivision_piece(v, s, k).apply(barycenter) for v, s in enumerate_ens(n, k)]
+    images = [apply(subdivision_piece(v, s, k), barycenter) for v, s in enumerate_ens(n, k)]
     assert len(set(images)) == k ** n
 
 
@@ -188,7 +226,7 @@ def test_subdivision_piece_pointwise_formula(n, k):
         for x in itertools.islice(simplex_points(n, 2), 4):
             moved = tuple(x[sigma[p] - 1] for p in range(n))
             expected = tuple(F(v[p] + moved[p], k) for p in range(n))
-            assert piece.apply(x) == expected
+            assert apply(piece, x) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +281,110 @@ def test_ftilde_frozen_examples():
     assert (m, sign) == (face_map(3, 0), 1)
     _, sign = ftilde_map((0,), (1,), 2, 2)
     assert sign == 1
+
+
+# ---------------------------------------------------------------------------
+# Integer storage against the Fraction reference in the oracles.
+# ---------------------------------------------------------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 5, 6, 12)
+
+
+def random_vertices(rng: random.Random, q: int, p: int):
+    """q + 1 vertex images in R^p over mixed denominators."""
+    return tuple(
+        tuple(F(rng.randint(-7, 7), rng.choice(DENOMINATORS)) for _ in range(p))
+        for _ in range(q + 1)
+    )
+
+
+def is_canonical(m: AffineSimplexMap) -> bool:
+    entries = [x for row in m.nums for x in row]
+    return (
+        m.den > 0
+        and gcd(m.den, *entries) == 1
+        and all(type(x) is int for x in entries)
+        and all(len(row) == m.codomain_dim for row in m.nums)
+    )
+
+
+def reference_face(n: int, i: int) -> AffineSimplexMap:
+    return AffineSimplexMap(n, tuple(vertex_E(n, j) for j in range(n + 1) if j != n - i))
+
+
+def test_vertices_round_trip_on_random_maps():
+    rng = random.Random(1101)
+    for _ in range(300):
+        verts = random_vertices(rng, rng.randint(0, 4), rng.randint(0, 4))
+        m = AffineSimplexMap(len(verts[0]), verts)
+        assert m.vertices == verts
+        assert is_canonical(m)
+
+
+def test_compose_matches_pointwise_reference_on_random_maps():
+    rng = random.Random(1102)
+    for _ in range(400):
+        r, q, p = (rng.randint(0, 4) for _ in range(3))
+        g = AffineSimplexMap(p, random_vertices(rng, q, p))
+        f = AffineSimplexMap(q, random_vertices(rng, r, q))
+        gf = compose(g, f)
+        expected = compose_pointwise(g, f)
+        assert gf == expected and hash(gf) == hash(expected)
+        assert gf.vertices == expected.vertices
+        assert is_canonical(gf)
+
+
+coordinates = st.builds(F, st.integers(-7, 7), st.sampled_from(DENOMINATORS))
+
+
+def vertex_lists(q: int, p: int):
+    return st.tuples(*[st.tuples(*[coordinates] * p)] * (q + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_compose_matches_pointwise_reference_property(data):
+    r, q, p = data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+    g = AffineSimplexMap(p, data.draw(vertex_lists(q, p)))
+    f = AffineSimplexMap(q, data.draw(vertex_lists(r, q)))
+    gf = compose(g, f)
+    assert gf == compose_pointwise(g, f)
+    assert is_canonical(gf)
+    x = data.draw(st.tuples(*[coordinates] * r))
+    assert apply(gf, x) == apply(g, apply(f, x))
+
+
+def test_pieces_and_composites_match_pointwise_reference():
+    # every index pair, plus up to n = 2 the out-of-range vectors the
+    # involution suite walks through
+    for n in range(0, 4):
+        for k in range(1, 4):
+            pairs = (
+                itertools.product(itertools.product(range(-1, k + 1), repeat=n), all_perms(n))
+                if n <= 2
+                else enumerate_ens(n, k)
+            )
+            for v, sigma in pairs:
+                piece = subdivision_piece(v, sigma, k)
+                expected = piece_pointwise(v, sigma, k)
+                assert piece == expected and piece.vertices == expected.vertices
+                assert is_canonical(piece)
+                for i in range(n + 1 if n else 0):
+                    m, _ = f_map((v, sigma, i), k)
+                    assert m == compose_pointwise(expected, reference_face(n, i))
+                    assert is_canonical(m)
+                for i in range(n + 2):
+                    m, _ = ftilde_map(v, sigma, i, k)
+                    assert m == compose_pointwise(reference_face(n + 1, i), expected)
+                    assert is_canonical(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_f_map_matches_pointwise_reference_property(n, k, data):
+    v = data.draw(st.tuples(*[st.integers(-2, k + 1)] * n))
+    sigma = data.draw(st.permutations(range(1, n + 1)).map(tuple))
+    i = data.draw(st.integers(0, n))
+    m, _ = f_map((v, sigma, i), k)
+    assert m == compose_pointwise(piece_pointwise(v, sigma, k), reference_face(n, i))
+    assert is_canonical(m)

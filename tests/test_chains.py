@@ -4,9 +4,11 @@ contraction, the constructed homotopies, and the cancellation identity."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophom.affine import (
     AffineSimplexMap,
@@ -166,6 +168,48 @@ def test_cone_frozen_example():
 
 def test_cone_of_zero_is_zero():
     assert cone_homotopy(zero_chain(2, 3)).is_zero()
+
+
+def reference_cone(x: FormalChain, apex_index: int) -> dict:
+    """cone_homotopy's terms, built from Fraction vertex lists."""
+    apex = vertex_E(x.codomain_dim, apex_index)
+    return {
+        AffineSimplexMap(x.codomain_dim, m.vertices + (apex,)): c for m, c in x.terms.items()
+    }
+
+
+def random_chain(rng: random.Random, q: int, p: int) -> FormalChain:
+    def coordinate():
+        return F(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+
+    terms = [
+        (AffineSimplexMap(p, tuple(tuple(coordinate() for _ in range(p)) for _ in range(q + 1))),
+         rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 5))
+    ]
+    return FormalChain(q, p, terms)
+
+
+def test_cone_matches_reference_on_random_chains():
+    rng = random.Random(1103)
+    for _ in range(200):
+        p, q = rng.randint(0, 4), rng.randint(0, 3)
+        x = random_chain(rng, q, p)
+        apex = rng.randint(0, p)
+        assert cone_homotopy(x, apex).terms == reference_cone(x, apex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.data())
+def test_cone_matches_reference_property(p, q, seed, data):
+    x = random_chain(random.Random(seed), q, p)
+    apex = data.draw(st.integers(0, p))
+    assert cone_homotopy(x, apex).terms == reference_cone(x, apex)
+
+
+def test_cone_rejects_apex_out_of_range():
+    with pytest.raises(ValueError, match="apex index 3"):
+        cone_homotopy(zero_chain(1, 2), 3)
 
 
 def e_vertex_maps(q: int, p: int):

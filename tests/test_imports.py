@@ -7,6 +7,7 @@ functions that delete dict keys."""
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -102,48 +103,200 @@ def _is_def(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
-def referenced_names(node: ast.AST, own: str | None = None) -> set[str]:
-    """Names, attribute names and imported names read in node, less `own`
-    (a function calling itself does not use itself)."""
+def _named(node: ast.AST | None) -> str | None:
+    """The name an annotation or a callee gives: ``C``, ``"C"`` or
+    ``module.C``; None for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+@dataclass
+class Library:
+    """The library's class names, the classes that have every member each
+    protocol declares, and the class each module-level function is
+    annotated to return."""
+
+    classes: set[str]
+    protocols: dict[str, set[str]]
+    returns: dict[str, str]
+
+
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The names a class body defines: methods, properties and fields."""
     out = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            out |= {alias.name for alias in sub.names}
-    out.discard(own)
+    for node in cls.body:
+        if _is_def(node):
+            out.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
     return out
+
+
+def library_of(top: list[ast.AST]) -> Library:
+    classes = {node.name: node for node in top if isinstance(node, ast.ClassDef)}
+    protocols = {
+        name
+        for name, node in classes.items()
+        if any(_named(b) == "Protocol" for b in node.bases)
+    }
+    return Library(
+        set(classes),
+        {
+            p: {
+                name
+                for name, node in classes.items()
+                if name not in protocols and _members(node) >= _members(classes[p])
+            }
+            for p in protocols
+        },
+        {
+            node.name: _named(node.returns)
+            for node in top
+            if _is_def(node) and _named(node.returns) in classes
+        },
+    )
+
+
+@dataclass
+class Reads:
+    names: set[str] = field(default_factory=set)  # names and imported names
+    attrs: set[str] = field(default_factory=set)  # attributes of receivers of unknown class
+    members: set[tuple[str, str]] = field(default_factory=set)  # (class, attribute)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module, function or class, stopping at (but
+    including) nested functions and classes."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(scope: ast.AST, nodes: list, lib: Library, owner: str | None) -> dict:
+    """The class each name bound in scope holds, or None where it is not
+    known: the owner for ``self``, a parameter's annotation, a library
+    class or annotated function called in an assignment.  A name bound to
+    two different classes, or also bound some other way, holds None."""
+    held: dict[str, str | None] = {}
+
+    def bind(name: str, cls: str | None) -> None:
+        held[name] = cls if held.get(name, cls) == cls else None
+
+    if _is_def(scope):
+        args = scope.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        static = any(_named(d) == "staticmethod" for d in scope.decorator_list)
+        for k, arg in enumerate(params):
+            bind(arg.arg, owner if k == 0 and owner and not static else _named(arg.annotation))
+        for arg in (args.vararg, args.kwarg):
+            if arg is not None:
+                bind(arg.arg, None)
+    typed = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Call):
+                callee = _named(node.value.func)
+                bind(target.id, callee if callee in lib.classes else lib.returns.get(callee))
+                typed.add(target)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bind(node.target.id, _named(node.annotation))
+            typed.add(node.target)
+    for node in nodes:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) and node not in typed:
+            bind(node.id, None)
+    return held
+
+
+def _scan(
+    scope: ast.AST,
+    env: dict,
+    lib: Library,
+    out: Reads,
+    own: tuple[str | None, str] | None = None,
+    owner: str | None = None,
+    library: bool = False,
+) -> None:
+    """Add what scope reads to `out`.  An attribute read is matched to the
+    class its receiver holds, when `env` and the scope's own bindings know
+    it.  `own` is the (class, name) of the library definition being
+    scanned: a function calling itself does not use itself."""
+    nodes = list(_own_nodes(scope))
+    if not isinstance(scope, ast.ClassDef):
+        env = {**env, **_bindings(scope, nodes, lib, owner)}
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            if own != (None, node.id):
+                out.names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            out.names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            receiver = node.value
+            cls = None
+            if isinstance(receiver, ast.Name):
+                cls = env[receiver.id] if receiver.id in env else receiver.id
+                if receiver.id not in env and cls not in lib.classes:
+                    cls = None
+            if cls is None:
+                if own is None or own[1] != node.attr:
+                    out.attrs.add(node.attr)
+                continue
+            for held in {cls} | lib.protocols.get(cls, set()):
+                if own != (held, node.attr):
+                    out.members.add((held, node.attr))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = scope.name if isinstance(scope, ast.ClassDef) else None
+            if own is None and library and not isinstance(node, ast.ClassDef):
+                _scan(node, env, lib, out, (inner, node.name), inner, library)
+            else:
+                _scan(node, env, lib, out, own, inner, library)
 
 
 def definitions_only_tests_use(
     library: dict[str, str], users: list[str], traced: set[str]
 ) -> list[str]:
-    """Module-level functions and non-dunder methods of the library modules
-    that no library module, other user source or traced name refers to --
-    whatever the tests do with them.  Names are matched without their
-    module, so a name defined twice counts as used by either's users."""
-    defined = []
-    refs: set[str] = set()
-    for module, source in library.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.ClassDef):
-                members, prefix = node.body, f"{module}.{node.name}."
-                for extra in node.bases + node.decorator_list:
-                    refs |= referenced_names(extra)
-            else:
-                members, prefix = [node], f"{module}."
-            for item in members:
-                if not _is_def(item):
-                    refs |= referenced_names(item)
-                    continue
-                refs |= referenced_names(item, item.name)
-                if not (item.name.startswith("__") and item.name.endswith("__")):
-                    defined.append((prefix + item.name, item.name))
+    """Module-level functions and non-dunder methods and properties of the
+    library modules that no library module, other user source or traced
+    name refers to -- whatever the tests do with them.
+
+    A function is matched by its name, without its module.  A member is
+    matched by class: reading ``x.m`` uses ``C.m`` when x is known to hold
+    a C (``self`` in C, a parameter annotated C, a name assigned from
+    ``C(...)`` or from a function annotated to return C), every class with
+    all of a protocol's members when x is annotated with that protocol, and
+    every class's ``m`` when x's class is not known."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    lib = library_of([node for tree in trees.values() for node in tree.body])
+    reads = Reads()
+    for tree in trees.values():
+        _scan(tree, {}, lib, reads, library=True)
     for source in users:
-        refs |= referenced_names(ast.parse(source))
-    return sorted(q for q, name in defined if name not in refs and q not in traced)
+        _scan(ast.parse(source), {}, lib, reads)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if _is_def(node) and not {node.name} & (reads.names | reads.attrs):
+                unread.append(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                unread.extend(
+                    f"{module}.{node.name}.{item.name}"
+                    for item in node.body
+                    if _is_def(item)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in reads.attrs
+                    and (node.name, item.name) not in reads.members
+                )
+    return sorted(q for q in unread if q not in traced)
 
 
 def test_scanner_flags_definitions_only_tests_use():
@@ -178,6 +331,45 @@ def test_scanner_flags_definitions_only_tests_use():
         "m.recursive",
         "m.used",
     ]
+
+
+def test_scanner_matches_members_by_class():
+    # Cell.n and Complex.n share a name; only Complex.n is read, through
+    # receivers whose class the scan can tell
+    library = {
+        "m": (
+            "from typing import Protocol\n"
+            "class Cell:\n"
+            "    @property\n"
+            "    def n(self):\n"
+            "        return 1\n"
+            "    def size(self):\n"
+            "        return 2\n"
+            "class Complex:\n"
+            "    @property\n"
+            "    def n(self):\n"
+            "        return 3\n"
+            "    def rank(self):\n"
+            "        return self.n\n"
+            "    def size(self):\n"
+            "        return 4\n"
+            "class Ranked(Protocol):\n"
+            "    def rank(self): ...\n"
+            "def build() -> Complex:\n"
+            "    return Complex()\n"
+            "def top(cx: Ranked, n):\n"
+            "    return cx.rank() + n\n"
+        ),
+    }
+    users = [
+        "from m import build, top\n"
+        "cx = build()\n"
+        "print(top(cx, cx.n), cx.size())\n"
+    ]
+    assert definitions_only_tests_use(library, users, set()) == ["m.Cell.n", "m.Cell.size"]
+    # a receiver of unknown class reads the member of every class
+    users.append("def show(thing):\n    return thing.size()\n")
+    assert definitions_only_tests_use(library, users, set()) == ["m.Cell.n"]
 
 
 def test_no_library_function_exists_only_for_the_tests():
