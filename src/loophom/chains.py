@@ -110,12 +110,6 @@ class FormalChain:
             ((m, -c) for m, c in self.terms.items()),
         )
 
-    def __rmul__(self, scalar: int) -> "FormalChain":
-        return FormalChain(
-            self.domain_dim, self.codomain_dim,
-            ((m, scalar * c) for m, c in self.terms.items()),
-        )
-
 
 def zero_chain(domain_dim: int, codomain_dim: int) -> FormalChain:
     return FormalChain(domain_dim, codomain_dim, ())

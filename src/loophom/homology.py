@@ -12,7 +12,8 @@ it — deterministic across runs.
 which is where the loop classes live: the pair complex has no cells above
 its power n, so H_n is the cycle group Z_n.  One reduction of the boundary
 leaving degree d gives them: its column transform V splits the chains into
-a part the boundary sees and the cycles, and the last rows of V^-1 read a
+a part the boundary sees and the cycles, and the last rows of V^-1, kept
+as their nonzeros (a single 1 each on every pinned pair complex), read a
 cycle's coordinates.  Z_n lies in the free group C_n, so it has no torsion.
 
 Boundaries here are mostly zeros and units, so the dense matrices are
@@ -49,10 +50,6 @@ Matrix = list[list[int]]
 
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def det(a: Sequence[Sequence[int]]) -> int:
@@ -192,31 +189,32 @@ class HomologySummary:
     """The free rank of a degree with no cells above it, and a
     deterministic cycle -> coordinates map.
 
-    Vinv turns a chain into coordinates whose first `_cycle_rank` entries
-    vanish exactly on cycles; the rest are the cycle's class.
+    `_vinv` holds each row of the square Vinv as its nonzero (column,
+    entry) pairs, in column order.  Vinv turns a chain into coordinates
+    whose first ``len(_vinv) - rank`` entries vanish exactly on cycles; the
+    rest are the cycle's class.
     """
 
     degree: int
     rank: int
-    _ambient: int
-    _cycle_rank: int
-    _vinv: tuple[tuple[int, ...], ...]
+    _vinv: tuple[tuple[tuple[int, int], ...], ...]
 
     def _reduced(self, z: Sequence[int]) -> list[int]:
         """Vinv z, for a chain vector z of this degree."""
-        if len(z) != self._ambient:
-            raise ValueError(f"expected a vector of length {self._ambient}")
-        return mat_vec(self._vinv, z)
+        if len(z) != len(self._vinv):
+            raise ValueError(f"expected a vector of length {len(self._vinv)}")
+        return [sum(x * z[c] for c, x in row) for row in self._vinv]
 
     def is_cycle(self, z: Sequence[int]) -> bool:
-        return not any(self._reduced(z)[: self._cycle_rank])
+        return not any(self._reduced(z)[: len(self._vinv) - self.rank])
 
     def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a relative cycle in this degree's homology."""
         y = self._reduced(z)
-        if any(y[: self._cycle_rank]):
+        cut = len(y) - self.rank
+        if any(y[:cut]):
             raise ValueError("vector is not a cycle")
-        return tuple(y[self._cycle_rank:])
+        return tuple(y[cut:])
 
 
 def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
@@ -236,9 +234,7 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     return HomologySummary(
         degree=d,
         rank=nd - cycle_rank,
-        _ambient=nd,
-        _cycle_rank=cycle_rank,
-        _vinv=tuple(tuple(r) for r in vinv),
+        _vinv=tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in vinv),
     )
 
 

@@ -31,8 +31,8 @@ matrix is built once per (n, g).
 
 `subdivision_vector` keeps the geometric sum itself -- inverse letters
 rewritten by `positivize`, then every piece mapped to its simplex -- as an
-independent witness: `vanishing_sum_check` evaluates through it and
-requires it to agree with `nu_vector`.
+independent witness: `vanishing_sum_check` reads its classes through it,
+since `nu_vector` is zero on every sum that check evaluates.
 
 The module also houses the cross-checks used by the verification suites: a
 pointwise sampling oracle for the decomposition, the symbolic
@@ -196,20 +196,22 @@ def vanishing_sum_check(
     multiple of n+1 augmentation factors, so the result must be zero.  Its
     Magnus expansion has no terms of degree <= n, so `nu_vector` gives 0
     by construction; the class is therefore taken from the geometric
-    `subdivision_vector`, and the check also requires that chain vector to
-    equal `nu_vector`'s.  The coordinates are returned alongside for
+    `subdivision_vector`.  At the top degree `cycle_class` rejects a
+    non-cycle and is injective on cycles, so a zero class means that chain
+    vector is zero too.  The coordinates are returned alongside for
     reporting.
     """
     n = _top_degree(cx, summary)
     if len(alphas) != n + 1:
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
+    for w in (gamma, *alphas):  # the sum may cancel a word before it is read
+        check_rank(w, cx.g)
     combo = combine(
         (tuple(itertools.chain(gamma, *itertools.compress(alphas, bits))), (-1) ** sum(bits))
         for bits in itertools.product((0, 1), repeat=n + 1)
     )
-    vec = subdivision_vector(combo, cx)
-    coords = summary.cycle_class(vec)
-    return not any(coords) and vec == nu_vector(combo, cx), coords
+    coords = summary.cycle_class(subdivision_vector(combo, cx))
+    return not any(coords), coords
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ def word_str(w: Word, alphabet: str = LETTER_POOL) -> str:
     out = []
     for i, e in w:
         c = alphabet[i - 1]
+        if e not in (1, -1):
+            raise ValueError(f"letter exponent must be +-1, got {e}")
         out.append(c if e == 1 else c.upper())
     return "".join(out)
 
@@ -176,6 +178,8 @@ def tensor_mul(a: Tensor, b: Tensor, n: int) -> Tensor:
 def _letter_tensor(i: int, e: int, n: int) -> Tensor:
     if e == 1:
         return {(): 1, (i,): 1} if n >= 1 else {(): 1}
+    if e != -1:
+        raise ValueError(f"letter exponent must be +-1, got {e}")
     # geometric series for the inverse: sum_j (-X_i)^j, degree <= n
     return {(i,) * j: (-1) ** j for j in range(n + 1)}
 
@@ -228,10 +232,12 @@ def positivize(w: Word, n: int) -> WordCombo:
     for i, e in w:
         if e == 1:
             factor: WordCombo = {((i, 1),): 1}
-        else:
+        elif e == -1:
             factor = {
                 ((i, 1),) * m: (-1) ** m * comb(n + 1, m + 1) for m in range(n + 1)
             }
+        else:
+            raise ValueError(f"letter exponent must be +-1, got {e}")
         combo = combine(
             (u + v, cu * cv) for u, cu in combo.items() for v, cv in factor.items()
         )

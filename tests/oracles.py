@@ -2,12 +2,13 @@
 
 Most functions restate a definition directly (pointwise, by membership or
 by brute force), so that agreement with the library's construction is a
-check rather than a tautology.  The general `homology`, with its summary
-and `mat_mul`, is the two-reduction reference at every degree: it pins
-ranks, torsion and transforms below the top, and the library's top-degree
-`homology` must agree with it where both apply.  The rest are conveniences
-built on the library -- coordinates, the rank-1 evaluation matrix, a
-cached top-degree context.  None of them is needed to compute anything.
+check rather than a tautology.  The general `homology`, with its summary,
+`mat_vec` and `mat_mul`, is the two-reduction reference at every degree:
+it pins ranks, torsion and transforms below the top, and the library's
+top-degree `homology` must agree with it where both apply.  The rest are
+conveniences built on the library -- coordinates, the rank-1 evaluation
+matrix, a cached top-degree context.  None of them is needed to compute
+anything.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping, Sequence
 import loophom.homology
 from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
-from loophom.homology import ChainComplexLike, Matrix, _snf, mat_vec
+from loophom.homology import ChainComplexLike, Matrix, _snf
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import nu_eval
 from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
@@ -243,6 +244,10 @@ def nu_basis_matrix(n: int) -> list[list[int]]:
 # coordinates plus torsion residues, vanishing exactly on boundaries.  At a
 # degree with no cells above it the second reduction is the identity, and
 # the library's `homology` must give the same rank, transform and classes.
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

@@ -51,8 +51,8 @@ def test_chain_arithmetic():
     b = div_chain(2, 2)
     assert a + b - a == b
     assert -(-b) == b
-    assert 2 * a == a + a
-    assert 0 * b == zero_chain(2, 2)
+    assert a + a == chain_of(identity_map(2), 2)
+    assert b - b == zero_chain(2, 2)
 
 
 def test_shape_mismatch_raises():
@@ -222,12 +222,11 @@ def test_cone_contraction_identity_exhaustive():
     for p in range(0, 4):
         for q in range(0, 4):
             for apex in range(0, p + 1):
-                apex_chain = chain_of(constant_map(p, vertex_E(p, apex)))
                 for m in e_vertex_maps(q, p):
                     x = chain_of(m)
                     lhs = chain_compose(cone_homotopy(x, apex), boundary_chain(q + 1))
                     if q == 0:
-                        rhs = x - augmentation(x) * apex_chain
+                        rhs = x - chain_of(constant_map(p, vertex_E(p, apex)), augmentation(x))
                     else:
                         rhs = x - cone_homotopy(chain_compose(x, boundary_chain(q)), apex)
                     assert lhs == rhs, (q, p, apex, m)

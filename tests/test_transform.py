@@ -140,6 +140,14 @@ def test_nu_vector_rewrites_inverse_letters():
         nu_vector(((3, 1),), cx)
 
 
+def test_subdivision_vector_rejects_exponents_other_than_units():
+    cx = build_pair_complex(2, 2)
+    with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
+        subdivision_vector(((1, 2),), cx)
+    with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 0"):
+        subdivision_vector({((2, 1),): 1, ((1, 1), (2, 0)): -1}, cx)
+
+
 def test_nu_chains_are_cycles():
     for g in (1, 2):
         for n in (1, 2, 3):
@@ -324,6 +332,42 @@ def test_vanishing_sum_cases():
         ok, coords = vanishing_sum_check(gamma, alphas, *context(n, g))
         assert ok, coords
         assert coords == tuple([0] * len(coords))
+
+
+def test_vanishing_sum_rejects_exponents_other_than_units():
+    cx, summary = context(2, 2)
+    bad = ((1, 2),)
+    for gamma, alphas in ((bad, (X, X, X)), ((), (X, bad, X))):
+        with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
+            vanishing_sum_check(gamma, alphas, cx, summary)
+    # an empty loop cancels every word of the sum, so none of them is read:
+    # the inputs are checked before summing
+    for gamma, alphas in ((bad, ((), X, X)), ((), ((), bad, X))):
+        with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
+            vanishing_sum_check(gamma, alphas, cx, summary)
+    with pytest.raises(ValueError, match="generator 3 out of range"):
+        vanishing_sum_check(((3, 1),), ((), X, X), cx, summary)
+
+
+def test_nu_vector_vanishes_on_the_theorem_b_battery():
+    """Each sum of the `verify theorem-b` battery at (2, 2) -- every gamma of
+    length <= 2 against every triple of single letters -- is
+    gamma * prod_i (1 - alpha_i), which has no Magnus terms of degree <= 2.
+    So the matrix path reads the zero chain on all 56, and only the
+    geometric sum can tell the check anything."""
+    n, g = 2, 2
+    cx = complex_for(n, g)
+    zero = [0] * cx.rank(n)
+    checked = 0
+    for gamma in ((), *positive_words(g, 2)):
+        for alphas in itertools.product(positive_words(g, 1), repeat=n + 1):
+            combo = {}
+            for bits in itertools.product((0, 1), repeat=n + 1):
+                word = gamma + sum(itertools.compress(alphas, bits), ())
+                combo[word] = combo.get(word, 0) + (-1) ** sum(bits)
+            assert nu_vector(combo, cx) == zero, (gamma, alphas)
+            checked += 1
+    assert checked == 56
 
 
 def test_vanishing_sum_needs_n_plus_one_loops():

@@ -44,6 +44,11 @@ def test_parse_and_render():
     assert word_str(parse_word("xYzX", "xyz"), "xyz") == "xYzX"
 
 
+def test_render_rejects_exponents_other_than_units():
+    with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
+        word_str(((1, 2),), "x")
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_word("x1")
@@ -124,6 +129,14 @@ def test_magnus_frozen_values():
     assert magnus(parse_word("xx"), 2, g=1) == {(): 1, X: 2, X + X: 1}
 
 
+def test_magnus_rejects_exponents_other_than_units():
+    # without a rank to check against, the letter itself is read: an
+    # exponent of 2 or 0 is an error, not an inverse letter
+    for e in (2, 0, -2):
+        with pytest.raises(ValueError, match=f"letter exponent must be \\+-1, got {e}"):
+            magnus(((1, 1), (1, e)), 2)
+
+
 def test_magnus_degree_zero():
     assert magnus(parse_word("xXyy"), 0) == {(): 1}
 
@@ -157,6 +170,12 @@ def test_positivize_frozen():
     assert positivize(parse_word("X"), 2) == {(): 3, x: -3, x + x: 1}
     w = parse_word("xxy", "xy")
     assert positivize(w, 3) == {w: 1}
+
+
+def test_positivize_rejects_exponents_other_than_units():
+    for w in (((1, 2),), ((1, -1), (2, 0))):
+        with pytest.raises(ValueError, match="letter exponent must be \\+-1"):
+            positivize(w, 2)
 
 
 @settings(deadline=None)
