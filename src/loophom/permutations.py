@@ -22,6 +22,7 @@ Beyond the basics (composition, inverse, sign) the module provides:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -47,8 +48,9 @@ def inverse(s: Perm) -> Perm:
     return tuple(inv)
 
 
+@lru_cache(maxsize=None)
 def epsilon(s: Perm) -> int:
-    """Sign (-1)^{number of inversions}.
+    """Sign (-1)^{number of inversions}; cached, so s must be a tuple.
 
     >>> epsilon((1, 2, 3)), epsilon((2, 1)), epsilon((2, 3, 1))
     (1, -1, 1)

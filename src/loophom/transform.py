@@ -37,7 +37,11 @@ since `nu_vector` is zero on every sum that check evaluates.
 The module also houses the cross-checks used by the verification suites: a
 pointwise sampling oracle for the decomposition, the symbolic
 inclusion-exclusion cancellation over block alphabets, the vanishing of
-subset-alternating sums in homology, and naturality under wedge maps.
+subset-alternating sums in homology, and naturality under wedge maps.  The
+oracle puts each sample point on one common denominator D, so the path at
+every block and the simplex side are integer numerators over D, compared
+as int tuples; ``tests/oracles.py`` keeps the exact-rational form as the
+reference it must agree with.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from fractions import Fraction
-from math import ceil
+from math import lcm
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -254,54 +258,65 @@ def _symbolic_terms(n: int) -> Iterator[tuple[SymbolicMapTerm, int]]:
 # ---------------------------------------------------------------------------
 
 
-def path_eval(w: Word, s: Fraction) -> tuple:
-    """Evaluate the concatenated-loops path at time s in [0, 1], as
-    (letter, local parameter); both endpoints of every loop sit at the
-    basepoint, reported as a common token."""
-    if not 0 <= s <= 1:
-        raise ValueError(f"time {s} outside [0, 1]")
+def path_eval(w: Word, num: int, den: int) -> tuple:
+    """Evaluate the concatenated-loops path at loop time num/den in [0, k],
+    k = len(w) (time s = num / (k den) of the path), as (letter, u) with
+    local parameter u/den; both endpoints of every loop sit at the
+    basepoint, reported as a common token.  den must be positive.
+    """
     k = len(w)
+    if not 0 <= num <= k * den:
+        raise ValueError(f"loop time {num}/{den} outside [0, {k}]")
     if k == 0:
         return BASEPOINT
-    b = max(ceil(k * s), 1)
-    u = k * s - (b - 1)
-    if u == 0 or u == 1:
+    b = max(-(-num // den), 1)
+    u = num - (b - 1) * den
+    if u == 0 or u == den:
         return BASEPOINT
     return (w[b - 1][0], u)
 
 
-def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
-    """The concatenated-loops path at time (b - 1 + x_q) / k, indexed
-    [b - 1][q - 1] over blocks b and coordinates q of the sample point."""
-    k = len(w)
-    return [[path_eval(w, Fraction(b + xq, k)) for xq in x] for b in range(k)]
+def _on_common_denominator(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The point x as integer numerators over D, the lcm of the
+    denominators of its coordinates."""
+    den = lcm(*(c.denominator for c in x))
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
+def _path_table(w: Word, nums: Sequence[int], den: int) -> list[list[tuple]]:
+    """The concatenated-loops path at loop time b + a_q / den, indexed
+    [b][q - 1] over blocks b in [0, k - 1] and the numerators a_q of the
+    sample point."""
+    return [[path_eval(w, b * den + a, den) for a in nums] for b in range(len(w))]
 
 
 def term_matches_path(
     v: Sequence[int],
     sigma: Perm,
-    x: Sequence[Fraction],
+    nums: Sequence[int],
+    den: int,
     cell: ProductSimplex,
     path: list[list[tuple]],
 ) -> bool:
-    """Whether, at the sample point x, the simplex encoding piece
-    (v, sigma) agrees with the subdivided path.
+    """Whether, at the sample point with coordinates a_q / den, the simplex
+    encoding piece (v, sigma) agrees with the subdivided path.
 
-    Position p of the path side evaluates the concatenated loops at time
-    (v_p + x_{sigma(p)}) / k, the p-th output of the subdivision piece;
-    the simplex side reads component p of ``cell`` (``term_to_simplex(w,
-    v, sigma)``, or a forged simplex as a negative control), whose jump j
-    names the source coordinate q = n - j + 1.  ``path`` is the word's
-    `_path_table` at x, which `sampling_oracle` computes once per point for
-    all pieces.
+    Position p of the path side evaluates the concatenated loops at loop
+    time v_p + a_{sigma(p)} / den, the p-th output of the subdivision
+    piece; the simplex side reads component p of ``cell``
+    (``term_to_simplex(w, v, sigma)``, or a forged simplex as a negative
+    control), whose jump j names the source coordinate q = n - j + 1, at
+    the basepoint when a_q is 0 or den.  ``path`` is the word's
+    `_path_table` at the point, which `sampling_oracle` computes once per
+    point for all pieces.  Both sides are integer tuples; the exact-rational
+    form of this check is the reference in ``tests/oracles.py``.
     """
     n = len(sigma)
-    for p in range(1, n + 1):
-        letter, jump = cell.components[p - 1]
-        u = x[(n - jump + 1) - 1]
-        lhs = path[v[p - 1]][sigma[p - 1] - 1]
-        rhs = BASEPOINT if u in (0, 1) else (letter, u)
-        if lhs != rhs:
+    for p in range(n):
+        letter, jump = cell.components[p]
+        a = nums[n - jump]
+        rhs = BASEPOINT if a == 0 or a == den else (letter, a)
+        if path[v[p]][sigma[p] - 1] != rhs:
             return False
     return True
 
@@ -320,11 +335,18 @@ def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[Fraction,
 
 
 def sampling_oracle(w: Word, n: int, points: Sequence[Sequence[Fraction]]) -> bool:
-    """Check every subdivision piece of w against the path at every point."""
+    """Check every subdivision piece of w against the path at every point.
+
+    Each point is put on one common denominator once, so the path and the
+    simplices are evaluated and compared in integers (`term_matches_path`).
+    """
     pieces = [(v, sigma, term_to_simplex(w, v, sigma)) for v, sigma in shuffle_expand(w, n)]
     for x in points:
-        path = _path_table(w, x)
-        if not all(term_matches_path(v, sigma, x, cell, path) for v, sigma, cell in pieces):
+        nums, den = _on_common_denominator(x)
+        path = _path_table(w, nums, den)
+        if not all(
+            term_matches_path(v, sigma, nums, den, cell, path) for v, sigma, cell in pieces
+        ):
             return False
     return True
 

@@ -101,6 +101,8 @@ def parse_word(text: str, alphabet: str | None = None) -> Word:
 def word_str(w: Word, alphabet: str = LETTER_POOL) -> str:
     out = []
     for i, e in w:
+        if not 1 <= i <= len(alphabet):
+            raise ValueError(f"generator {i} has no letter in an alphabet of {len(alphabet)}")
         c = alphabet[i - 1]
         if e not in (1, -1):
             raise ValueError(f"letter exponent must be +-1, got {e}")

@@ -5,7 +5,9 @@ by brute force), so that agreement with the library's construction is a
 check rather than a tautology.  The general `homology`, with its summary,
 `mat_vec` and `mat_mul`, is the two-reduction reference at every degree:
 it pins ranks, torsion and transforms below the top, and the library's
-top-degree `homology` must agree with it where both apply.  The rest are
+top-degree `homology` must agree with it where both apply.  `path_eval`,
+`_path_table` and `term_matches_path` are the sampling oracle in exact
+rationals, the reference for the library's integer form.  The rest are
 conveniences built on the library -- coordinates, the rank-1 evaluation
 matrix, a cached top-degree context.  None of them is needed to compute
 anything.
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import ceil, comb
 from typing import Mapping, Sequence
 
 import loophom.homology
@@ -25,7 +27,7 @@ from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
 from loophom.homology import ChainComplexLike, Matrix, _snf
 from loophom.permutations import Perm, is_shuffle, level_sizes
-from loophom.transform import nu_eval
+from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
 from loophom.words import Monomial, Word, WordCombo, combo_magnus
 
@@ -235,6 +237,64 @@ def nu_basis_matrix(n: int) -> list[list[int]]:
         combo: WordCombo = {x * j: (-1) ** (m - j) * comb(m, j) for j in range(m + 1)}
         cols.append(nu_eval(combo, n, 1))
     return [list(row) for row in zip(*cols)]
+
+
+# The pointwise sampling oracle in exact rationals: the path is evaluated at
+# Fraction times and compared with the simplex side coordinate by coordinate.
+# The library's `term_matches_path` runs the same check on integer
+# numerators over one denominator per point, and must accept and reject
+# exactly the same pieces.
+
+
+def path_eval(w: Word, s: Fraction) -> tuple:
+    """Evaluate the concatenated-loops path at time s in [0, 1], as
+    (letter, local parameter); both endpoints of every loop sit at the
+    basepoint, reported as a common token."""
+    if not 0 <= s <= 1:
+        raise ValueError(f"time {s} outside [0, 1]")
+    k = len(w)
+    if k == 0:
+        return BASEPOINT
+    b = max(ceil(k * s), 1)
+    u = k * s - (b - 1)
+    if u == 0 or u == 1:
+        return BASEPOINT
+    return (w[b - 1][0], u)
+
+
+def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
+    """The concatenated-loops path at time (b - 1 + x_q) / k, indexed
+    [b - 1][q - 1] over blocks b and coordinates q of the sample point."""
+    k = len(w)
+    return [[path_eval(w, Fraction(b + xq, k)) for xq in x] for b in range(k)]
+
+
+def term_matches_path(
+    v: Sequence[int],
+    sigma: Perm,
+    x: Sequence[Fraction],
+    cell: ProductSimplex,
+    path: list[list[tuple]],
+) -> bool:
+    """Whether, at the sample point x, the simplex encoding piece
+    (v, sigma) agrees with the subdivided path.
+
+    Position p of the path side evaluates the concatenated loops at time
+    (v_p + x_{sigma(p)}) / k, the p-th output of the subdivision piece;
+    the simplex side reads component p of ``cell`` (``term_to_simplex(w,
+    v, sigma)``, or a forged simplex as a negative control), whose jump j
+    names the source coordinate q = n - j + 1.  ``path`` is the word's
+    `_path_table` at x.
+    """
+    n = len(sigma)
+    for p in range(1, n + 1):
+        letter, jump = cell.components[p - 1]
+        u = x[(n - jump + 1) - 1]
+        lhs = path[v[p - 1]][sigma[p - 1] - 1]
+        rhs = BASEPOINT if u in (0, 1) else (letter, u)
+        if lhs != rhs:
+            return False
+    return True
 
 
 # The general homology at any degree, from two reductions: one of the

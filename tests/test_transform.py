@@ -4,7 +4,7 @@ import inspect
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from random import Random
 
 import pytest
@@ -14,6 +14,7 @@ from loophom.homology import homology, smith_normal_form
 from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
     BASEPOINT,
+    _on_common_denominator,
     _path_table,
     naturality_check,
     nu_eval,
@@ -31,6 +32,7 @@ from loophom.transform import (
 )
 from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
 from loophom.words import parse_word, positivize
+import oracles
 from oracles import context, nu_basis_matrix
 
 X = ((1, 1),)
@@ -419,14 +421,29 @@ def test_symbolic_cancellation_empty():
 
 def test_path_eval_frozen():
     xy = parse_word("xy")
-    assert path_eval(xy, Fraction(0)) == BASEPOINT
-    assert path_eval(xy, Fraction(1, 4)) == (1, Fraction(1, 2))
-    assert path_eval(xy, Fraction(1, 2)) == BASEPOINT
-    assert path_eval(xy, Fraction(3, 4)) == (2, Fraction(1, 2))
-    assert path_eval(xy, Fraction(1)) == BASEPOINT
-    assert path_eval((), Fraction(1, 3)) == BASEPOINT
+    assert oracles.path_eval(xy, Fraction(0)) == BASEPOINT
+    assert oracles.path_eval(xy, Fraction(1, 4)) == (1, Fraction(1, 2))
+    assert oracles.path_eval(xy, Fraction(1, 2)) == BASEPOINT
+    assert oracles.path_eval(xy, Fraction(3, 4)) == (2, Fraction(1, 2))
+    assert oracles.path_eval(xy, Fraction(1)) == BASEPOINT
+    assert oracles.path_eval((), Fraction(1, 3)) == BASEPOINT
     with pytest.raises(ValueError):
-        path_eval(xy, Fraction(3, 2))
+        oracles.path_eval(xy, Fraction(3, 2))
+
+
+def test_integer_path_eval_frozen():
+    # the cases above at loop time k s = num/den, k = 2 (0 for the empty word)
+    xy = parse_word("xy")
+    assert path_eval(xy, 0, 1) == BASEPOINT
+    assert path_eval(xy, 1, 2) == (1, 1)
+    assert path_eval(xy, 2, 2) == BASEPOINT
+    assert path_eval(xy, 3, 2) == (2, 1)
+    assert path_eval(xy, 4, 2) == BASEPOINT
+    assert path_eval((), 0, 3) == BASEPOINT
+    with pytest.raises(ValueError, match="loop time 3/1 outside"):
+        path_eval(xy, 3, 1)
+    with pytest.raises(ValueError, match="loop time -1/2 outside"):
+        path_eval(xy, -1, 2)
 
 
 def test_random_simplex_points_are_exact_and_ordered():
@@ -450,13 +467,114 @@ def test_sampling_oracle_accepts_all_terms():
 def test_sampling_oracle_rejects_forged_cells():
     xy = parse_word("xy")
     v, sigma = (0, 1), (1, 2)
-    x = (Fraction(1, 3), Fraction(1, 2))
-    path = _path_table(xy, x)
-    assert term_matches_path(v, sigma, x, term_to_simplex(xy, v, sigma), path)
+    nums, den = _on_common_denominator((Fraction(1, 3), Fraction(1, 2)))
+    path = _path_table(xy, nums, den)
+    assert term_matches_path(v, sigma, nums, den, term_to_simplex(xy, v, sigma), path)
     wrong_letters = ProductSimplex(2, ((2, 2), (1, 1)))
-    assert not term_matches_path(v, sigma, x, wrong_letters, path)
+    assert not term_matches_path(v, sigma, nums, den, wrong_letters, path)
     wrong_jumps = ProductSimplex(2, ((1, 1), (2, 2)))
-    assert not term_matches_path(v, sigma, x, wrong_jumps, path)
+    assert not term_matches_path(v, sigma, nums, den, wrong_jumps, path)
+
+
+# The integer oracle against the exact-rational reference in the oracles.
+
+ORACLE_WORDS = list(positive_words(2, 3))  # words.positive_words(2, (1, 2, 3))
+
+
+def sample_points(n: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """Corners and edges of D^n (coordinates 0 and 1, repeated coordinates),
+    denominators up to 24, and seeded points of the sampling suite."""
+    fixed = [
+        (Fraction(0),) * n,
+        (Fraction(1),) * n,
+        (Fraction(0),) * (n - 1) + (Fraction(1),),
+        (Fraction(0),) + (Fraction(1),) * (n - 1),
+        (Fraction(1, 2),) * n,
+        tuple(sorted(Fraction(j, 24) for j in (5, 12, 23)[:n])),
+        tuple(sorted(Fraction(j, d) for j, d in ((1, 24), (2, 3), (5, 7))[:n])),
+        (Fraction(7, 24),) * (n - 1) + (Fraction(23, 24),),
+    ]
+    return fixed + random_simplex_points(n, 6, seed)
+
+
+def forged_cells(w, v, sigma) -> list[ProductSimplex]:
+    """The piece's own simplex, then, position by position, the simplex with
+    that letter changed and with that jump moved to the next coordinate."""
+    true = term_to_simplex(w, v, sigma)
+    n = true.dim
+    out = [true]
+    for p, (letter, jump) in enumerate(true.components):
+        for forged in ((3 - letter, jump), (letter, jump % n + 1)):
+            comps = list(true.components)
+            comps[p] = forged
+            out.append(ProductSimplex(n, tuple(comps)))
+    return out
+
+
+def on_fractions(path, den):
+    return [[e if e == BASEPOINT else (e[0], Fraction(e[1], den)) for e in row] for row in path]
+
+
+def verdicts(w, n, x, cells_of):
+    """(integer, reference) verdicts of every piece of w at x against each
+    of the cells ``cells_of`` names for it."""
+    nums, den = _on_common_denominator(x)
+    path, ref_path = _path_table(w, nums, den), oracles._path_table(w, x)
+    for v, sigma in shuffle_expand(w, n):
+        for cell in cells_of(w, v, sigma):
+            yield (
+                term_matches_path(v, sigma, nums, den, cell, path),
+                oracles.term_matches_path(v, sigma, x, cell, ref_path),
+            )
+
+
+def test_common_denominator_is_the_least_exact_one():
+    assert _on_common_denominator((Fraction(1, 2), Fraction(1, 3))) == ([3, 2], 6)
+    assert _on_common_denominator((Fraction(0), Fraction(1))) == ([0, 1], 1)
+    for n in (1, 2, 3):
+        for x in sample_points(n, seed=11 + n):
+            nums, den = _on_common_denominator(x)
+            assert all(isinstance(a, int) for a in nums)
+            assert den == lcm(*(c.denominator for c in x))
+            assert [Fraction(a, den) for a in nums] == list(x)
+
+
+def test_path_table_matches_reference():
+    for w in ORACLE_WORDS:
+        for n in (1, 2, 3):
+            for x in sample_points(n, seed=20 + n):
+                nums, den = _on_common_denominator(x)
+                assert on_fractions(_path_table(w, nums, den), den) == oracles._path_table(w, x)
+
+
+def test_term_matches_path_agrees_with_reference():
+    counts = {True: 0, False: 0}
+    for w in ORACLE_WORDS:
+        for n in (1, 2, 3):
+            for x in sample_points(n, seed=30 + n):
+                for mine, ref in verdicts(w, n, x, forged_cells):
+                    assert mine == ref, (w, n, x)
+                    counts[ref] += 1
+    assert counts[True] > 1000 and counts[False] > 1000, counts
+
+
+@st.composite
+def oracle_cases(draw):
+    w = draw(st.sampled_from(ORACLE_WORDS))
+    n = draw(st.integers(1, 3))
+    dens = draw(st.lists(st.integers(1, 24), min_size=n, max_size=n))
+    x = tuple(sorted(Fraction(draw(st.integers(0, d)), d) for d in dens))
+    cell = st.tuples(st.integers(1, 2), st.integers(1, n))
+    forged = draw(st.lists(st.tuples(cell, cell, cell), min_size=1, max_size=4))
+    return w, n, x, [ProductSimplex(n, comps[:n]) for comps in forged]
+
+
+@settings(deadline=None, max_examples=200)
+@given(oracle_cases())
+def test_term_matches_path_agrees_with_reference_property(case):
+    w, n, x, forged = case
+    for mine, ref in verdicts(w, n, x, lambda w, v, sigma: [term_to_simplex(w, v, sigma), *forged]):
+        assert mine == ref
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ def test_render_rejects_exponents_other_than_units():
         word_str(((1, 2),), "x")
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_render_rejects_generators_outside_the_alphabet(i):
+    with pytest.raises(ValueError, match=f"generator {i} has no letter in an alphabet of 2"):
+        word_str(((i, 1),), "xy")
+    with pytest.raises(ValueError, match=f"generator {i} has no letter"):
+        word_str(((1, 1), (i, -1)), "xy")
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_word("x1")
