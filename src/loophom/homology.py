@@ -10,11 +10,12 @@ it — deterministic across runs.
 
 `homology` gives coordinates only at a degree d with no cells above it,
 which is where the loop classes live: the pair complex has no cells above
-its power n, so H_n is the cycle group Z_n.  One reduction of the boundary
-leaving degree d gives them: its column transform V splits the chains into
-a part the boundary sees and the cycles, and the last rows of V^-1, kept
-as their nonzeros (a single 1 each on every pinned pair complex), read a
-cycle's coordinates.  Z_n lies in the free group C_n, so it has no torsion.
+its power n, so H_n is the cycle group Z_n, free as it lies in C_n.  A
+chain is a cycle when the complex's own stored boundary sends it to zero.
+One reduction U ∂ V = D of that boundary reads the class: the rows of V^-1
+past the rank of ∂, the class rows, are all the summary keeps of it.
+`_snf` changes a V^-1 row only while it is the pivot row, so when every
+pivot is a unit each class row is a single 1.
 
 Boundaries here are mostly zeros and units, so the dense matrices are
 walked only where an entry can change a result.  Each shortcut skips work
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from .wedge import Column
 from .words import combine
@@ -177,11 +178,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
 
 class ChainComplexLike(Protocol):
     """What `homology` reads of a complex: the chain ranks at d - 1, d and
-    d + 1, and the dense boundary leaving degree d."""
+    d + 1, and the boundary leaving degree d, dense and as sparse columns."""
 
     def rank(self, d: int) -> int: ...
 
     def boundary_matrix(self, d: int) -> Sequence[Sequence[int]]: ...
+
+    @property
+    def boundaries(self) -> Sequence[Sequence[Column]]: ...
+
+
+def boundary_of(columns: Sequence[Column], chain: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The nonzero (row, coefficient) pairs of the boundary of a chain of
+    (cell, coefficient) pairs, for the boundary with these sparse columns."""
+    return combine((r, c * x) for i, c in chain if c for r, x in columns[i])
 
 
 @dataclass(frozen=True)
@@ -189,32 +199,29 @@ class HomologySummary:
     """The free rank of a degree with no cells above it, and a
     deterministic cycle -> coordinates map.
 
-    `_vinv` holds each row of the square Vinv as its nonzero (column,
-    entry) pairs, in column order.  Vinv turns a chain into coordinates
-    whose first ``len(_vinv) - rank`` entries vanish exactly on cycles; the
-    rest are the cycle's class.
+    `_boundary` is the complex's sparse boundary leaving this degree, one
+    column per cell; `_classes` the last `rank` rows of Vinv, as nonzero
+    (column, entry) pairs.  With U ∂ V = D and D nonzero only on its first
+    r diagonal entries, ∂z = 0 exactly when the first r entries of Vinv z
+    vanish, so testing ∂z selects the cycles the dropped rows selected.
     """
 
     degree: int
     rank: int
-    _vinv: tuple[tuple[tuple[int, int], ...], ...]
-
-    def _reduced(self, z: Sequence[int]) -> list[int]:
-        """Vinv z, for a chain vector z of this degree."""
-        if len(z) != len(self._vinv):
-            raise ValueError(f"expected a vector of length {len(self._vinv)}")
-        return [sum(x * z[c] for c, x in row) for row in self._vinv]
+    _boundary: Sequence[Column]
+    _classes: tuple[tuple[tuple[int, int], ...], ...]
 
     def is_cycle(self, z: Sequence[int]) -> bool:
-        return not any(self._reduced(z)[: len(self._vinv) - self.rank])
+        """Whether a chain vector z of this degree has zero boundary."""
+        if len(z) != len(self._boundary):
+            raise ValueError(f"expected a vector of length {len(self._boundary)}")
+        return not boundary_of(self._boundary, enumerate(z))
 
     def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a relative cycle in this degree's homology."""
-        y = self._reduced(z)
-        cut = len(y) - self.rank
-        if any(y[:cut]):
+        if not self.is_cycle(z):
             raise ValueError("vector is not a cycle")
-        return tuple(y[cut:])
+        return tuple(sum(x * z[c] for c, x in row) for row in self._classes)
 
 
 def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
@@ -225,16 +232,20 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
         raise ValueError(f"degree {d} has cells above it: coordinates need C_{d + 1} = 0")
     nd = cx.rank(d)
     below = cx.rank(d - 1) if d >= 1 else 0
-    # below degree 1 nothing constrains the cycles
+    # below degree 1 nothing constrains the cycles; a degree without cells has no columns
     md = cx.boundary_matrix(d) if d >= 1 else []
-    if len(md) != below:
+    columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
+    if len(md) != below or len(columns) != nd:
         raise ValueError("boundary matrix at d has the wrong shape")
     _, dd, _, vinv = _snf(md, below, nd)
-    cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
+    rank = nd - sum(1 for i in range(min(below, nd)) if dd[i][i])
     return HomologySummary(
         degree=d,
-        rank=nd - cycle_rank,
-        _vinv=tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in vinv),
+        rank=rank,
+        _boundary=columns,
+        _classes=tuple(
+            tuple((c, x) for c, x in enumerate(row) if x) for row in vinv[nd - rank:]
+        ),
     )
 
 
@@ -304,8 +315,7 @@ def homology_groups(cx: SparseComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     for d in range(1, n + 1):  # each column of the product of d and d + 1
         below = cx.boundaries[d]
         for column in cx.boundaries[d + 1]:
-            terms = ((s, c * x) for r, c in column for s, x in below[r])
-            if combine(terms):
+            if boundary_of(below, column):
                 raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     factors = [[]] + [
         invariant_factors(cx.boundaries[d], cx.rank(d - 1)) for d in range(1, n + 2)

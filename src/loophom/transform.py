@@ -38,17 +38,16 @@ The module also houses the cross-checks used by the verification suites: a
 pointwise sampling oracle for the decomposition, the symbolic
 inclusion-exclusion cancellation over block alphabets, the vanishing of
 subset-alternating sums in homology, and naturality under wedge maps.  The
-oracle puts each sample point on one common denominator D, so the path at
-every block and the simplex side are integer numerators over D, compared
-as int tuples; ``tests/oracles.py`` keeps the exact-rational form as the
-reference it must agree with.
+oracle's sample points are drawn as integer numerators over one common
+denominator D per point, so the path at every block and the simplex side
+are integer numerators over D, compared as int tuples; ``tests/oracles.py``
+keeps the exact-rational form as the reference it must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from fractions import Fraction
 from math import lcm
 from random import Random
 from typing import Iterator, Mapping, Sequence
@@ -276,13 +275,6 @@ def path_eval(w: Word, num: int, den: int) -> tuple:
     return (w[b - 1][0], u)
 
 
-def _on_common_denominator(x: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The point x as integer numerators over D, the lcm of the
-    denominators of its coordinates."""
-    den = lcm(*(c.denominator for c in x))
-    return [c.numerator * (den // c.denominator) for c in x], den
-
-
 def _path_table(w: Word, nums: Sequence[int], den: int) -> list[list[tuple]]:
     """The concatenated-loops path at loop time b + a_q / den, indexed
     [b][q - 1] over blocks b in [0, k - 1] and the numerators a_q of the
@@ -321,28 +313,26 @@ def term_matches_path(
     return True
 
 
-def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
-    """Seeded exact-rational points of the order simplex (sorted coords)."""
+def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[tuple[int, ...], int]]:
+    """Seeded points of the order simplex, each as its sorted coordinate
+    numerators over one denominator, the lcm of the coordinates' own."""
     rng = Random(seed)
     out = []
     for _ in range(count):
         coords = []
         for _ in range(n):
             den = rng.randint(1, 24)
-            coords.append(Fraction(rng.randint(0, den), den))
-        out.append(tuple(sorted(coords)))
+            coords.append((rng.randint(0, den), den))
+        common = lcm(*(den for _, den in coords))
+        out.append((tuple(sorted(a * (common // den) for a, den in coords)), common))
     return out
 
 
-def sampling_oracle(w: Word, n: int, points: Sequence[Sequence[Fraction]]) -> bool:
-    """Check every subdivision piece of w against the path at every point.
-
-    Each point is put on one common denominator once, so the path and the
-    simplices are evaluated and compared in integers (`term_matches_path`).
-    """
+def sampling_oracle(w: Word, n: int, points: Sequence[tuple[Sequence[int], int]]) -> bool:
+    """Check every subdivision piece of w against the path at every point
+    (numerators, denominator), in integers (`term_matches_path`)."""
     pieces = [(v, sigma, term_to_simplex(w, v, sigma)) for v, sigma in shuffle_expand(w, n)]
-    for x in points:
-        nums, den = _on_common_denominator(x)
+    for nums, den in points:
         path = _path_table(w, nums, den)
         if not all(
             term_matches_path(v, sigma, nums, den, cell, path) for v, sigma, cell in pieces

@@ -7,7 +7,9 @@ check rather than a tautology.  The general `homology`, with its summary,
 it pins ranks, torsion and transforms below the top, and the library's
 top-degree `homology` must agree with it where both apply.  `path_eval`,
 `_path_table` and `term_matches_path` are the sampling oracle in exact
-rationals, the reference for the library's integer form.  The rest are
+rationals, the reference for the library's integer form;
+`random_simplex_points` draws the library's seeded points as `Fraction`s,
+and `on_common_denominator` puts such a point on integers.  The rest are
 conveniences built on the library -- coordinates, the rank-1 evaluation
 matrix, a cached top-degree context.  None of them is needed to compute
 anything.
@@ -19,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb
+from math import ceil, comb, lcm
+from random import Random
 from typing import Mapping, Sequence
 
 import loophom.homology
@@ -262,6 +265,27 @@ def path_eval(w: Word, s: Fraction) -> tuple:
     return (w[b - 1][0], u)
 
 
+def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[Fraction, ...]]:
+    """Seeded exact-rational points of the order simplex (sorted coords),
+    from the same draws as the library's integer points."""
+    rng = Random(seed)
+    out = []
+    for _ in range(count):
+        coords = []
+        for _ in range(n):
+            den = rng.randint(1, 24)
+            coords.append(Fraction(rng.randint(0, den), den))
+        out.append(tuple(sorted(coords)))
+    return out
+
+
+def on_common_denominator(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The point x as integer numerators over D, the lcm of the
+    denominators of its coordinates."""
+    den = lcm(*(c.denominator for c in x))
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
 def _path_table(w: Word, x: Sequence[Fraction]) -> list[list[tuple]]:
     """The concatenated-loops path at time (b - 1 + x_q) / k, indexed
     [b - 1][q - 1] over blocks b and coordinates q of the sample point."""
@@ -307,7 +331,10 @@ def term_matches_path(
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    """Product a @ v."""
+    # v as its (k, v[k]) nonzeros: zero terms add nothing
+    nonzeros = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in nonzeros) for row in a]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

@@ -139,6 +139,12 @@ class StubComplex:
             return self.mats[d]
         return [[0] * self.rank(d) for _ in range(self.rank(d - 1))]
 
+    @property
+    def boundaries(self) -> dict[int, list[tuple[tuple[int, int], ...]]]:
+        """The sparse columns of the boundary matrix leaving each degree the
+        stub has a rank for, as the pair complex stores them."""
+        return {d: columns_of(self.boundary_matrix(d), self.rank(d)) for d in self.ranks}
+
 
 def test_torus_like():
     cx = StubComplex({0: 1, 1: 2, 2: 1})
@@ -169,9 +175,9 @@ def test_not_a_complex_raises():
 
 
 def test_empty_degree():
-    cx = StubComplex({0: 1})
-    assert homology(cx, 5).rank == 0
-    assert homology(cx, 5).cycle_class([]) == ()
+    for cx in (StubComplex({0: 1}), build_pair_complex(2, 1)):
+        assert homology(cx, 5).rank == 0
+        assert homology(cx, 5).cycle_class([]) == ()
 
 
 def test_homology_rejects_degrees_with_cells_above():
@@ -401,6 +407,8 @@ def test_mat_mul_matches_reference_on_seeded_sparse_matrices():
         b = random_sparse_matrix(rng, inner, cols)
         assert mat_mul(a, b) == reference_mat_mul(a, b, inner=inner)
         assert mat_mul(a, b) == reference_mat_mul(a, b)
+        (v,) = random_sparse_matrix(rng, 1, inner)
+        assert mat_vec(a, v) == [sum(row[k] * v[k] for k in range(inner)) for row in a]
 
 
 ENTRIES = st.one_of(
@@ -595,13 +603,13 @@ def sparse_rows(a) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def assert_summaries_agree(lib, ref, chains) -> None:
     """The library's summary carries the reference's rank and the nonzeros
-    of its transform, whose second reduction is the identity, and both read
-    the same class of every cycle in `chains` and the same cycles among the
-    basis."""
+    of the class rows of its transform, whose second reduction is the
+    identity, and both read the same class of every cycle in `chains` and
+    the same cycles among the basis."""
     assert (lib.degree, lib.rank) == (ref.degree, ref.rank)
-    assert len(lib._vinv) == ref._ambient
-    assert len(lib._vinv) - lib.rank == ref._cycle_rank
-    assert lib._vinv == sparse_rows(ref._vinv)
+    assert len(lib._boundary) == ref._ambient
+    assert len(lib._boundary) - lib.rank == ref._cycle_rank
+    assert lib._classes == sparse_rows(ref._vinv[ref._cycle_rank:])
     assert ref._uprime == tuple(map(tuple, identity_matrix(ref.cycle_space_dim)))
     assert ref._bdry_diag == () and ref.torsion == ()
     for z in chains:
@@ -622,8 +630,10 @@ def assert_summaries_agree(lib, ref, chains) -> None:
 def test_top_degree_summaries_match_reference(n, g):
     cx = build_pair_complex(n, g)
     chains = [nu_vector(w, cx) for w in positive_words(g, range(4))]
-    assert_summaries_agree(homology(cx, n), oracles.homology(cx, n), chains)
-    assert_summaries_agree(homology(cx, n + 1), oracles.homology(cx, n + 1), [])
+    for d, cycles in ((n, chains), (n + 1, [])):
+        lib = homology(cx, d)
+        assert lib._boundary is cx.boundaries[d]  # shared, not copied
+        assert_summaries_agree(lib, oracles.homology(cx, d), cycles)
 
 
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
@@ -632,7 +642,8 @@ def test_top_degree_class_rows_each_read_one_cell(n, g):
     pair, with distinct columns: each default coordinate is the coefficient
     of one top cell."""
     summary = homology(build_pair_complex(n, g), n)
-    class_rows = summary._vinv[len(summary._vinv) - summary.rank:]
+    class_rows = summary._classes
+    assert len(class_rows) == summary.rank
     assert all(len(row) == 1 and row[0][1] == 1 for row in class_rows)
     assert len({row[0][0] for row in class_rows}) == summary.rank
 
@@ -651,12 +662,101 @@ def test_top_degree_summaries_match_reference_on_seeded_stubs():
         ncols = len(a[0]) if nrows else 0
         non_units += any(abs(x) > 1 for row in a for x in row)
         cx = StubComplex({0: nrows, 1: ncols}, {1: a})
-        _, dd, v, _ = _snf(a, nrows, ncols)
-        r = sum(1 for i in range(min(nrows, ncols)) if dd[i][i])
-        kernel = [[row[j] for row in v] for j in range(r, ncols)]
+        kernel = kernel_of(a, nrows, ncols)
         sums = [[x + y for x, y in zip(p, q)] for p, q in zip(kernel, kernel[1:])]
         assert_summaries_agree(homology(cx, 1), oracles.homology(cx, 1), kernel + sums)
     assert non_units > 100
+
+
+def kernel_of(a: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[list[int]]:
+    """A basis of the integer kernel of a: the columns of V past the rank."""
+    _, dd, v, _ = _snf(a, nrows, ncols)
+    r = sum(1 for i in range(min(nrows, ncols)) if dd[i][i])
+    return [[row[j] for row in v] for j in range(r, ncols)]
+
+
+def assert_cycles_and_classes_agree(cx, d: int, chains) -> int:
+    """On every chain, the library's `is_cycle` equals the reference's and
+    ∂z = 0 on the dense boundary; then both read the same class, or both
+    reject the chain.  A chain one entry too long or too short is refused
+    by both methods of both summaries.  Returns how many chains were
+    cycles."""
+    lib, ref = homology(cx, d), oracles.homology(cx, d)
+    md = cx.boundary_matrix(d) if d >= 1 else []
+    nd = cx.rank(d)
+    cycles = 0
+    for z in chains:
+        cycle = lib.is_cycle(z)
+        assert cycle == ref.is_cycle(z) == (not any(mat_vec(md, z)))
+        if cycle:
+            assert lib.cycle_class(z) == ref.cycle_class(z)
+            cycles += 1
+        else:
+            for summary in (lib, ref):
+                with pytest.raises(ValueError, match="not a cycle"):
+                    summary.cycle_class(z)
+        for wrong in (z + [1], z[:-1]) if nd else (z + [1],):
+            for method in (lib.is_cycle, lib.cycle_class, ref.is_cycle, ref.cycle_class):
+                with pytest.raises(ValueError, match=f"^expected a vector of length {nd}$"):
+                    method(wrong)
+    return cycles
+
+
+def random_chains(rng: random.Random, kernel: list[list[int]], nd: int) -> list[list[int]]:
+    """A sparse random integer vector of length nd, a random integer
+    combination of the kernel vectors (a cycle), and that combination with
+    one entry moved."""
+    noise = [rng.choice((0, 0, 0, 1, -1, 3, -7)) for _ in range(nd)]
+    coeffs = [rng.randint(-3, 3) for _ in kernel]
+    cycle = [sum(c * k[i] for c, k in zip(coeffs, kernel)) for i in range(nd)]
+    moved = list(cycle)
+    if nd:
+        moved[rng.randrange(nd)] += rng.choice((1, -1, 2))
+    return [noise, cycle, moved]
+
+
+def test_is_cycle_and_cycle_class_match_reference_on_seeded_chains():
+    """Random integer chains, not only basis vectors, on real top degrees
+    and on seeded stubs with non-unit boundaries."""
+    rng = random.Random(7310)
+    cycles = chains = 0
+    for n, g in [(1, 2), (2, 2), (3, 1), (3, 2)]:
+        cx = build_pair_complex(n, g)
+        kernel = kernel_of(cx.boundary_matrix(n), cx.rank(n - 1), cx.rank(n))
+        batch = [z for _ in range(10) for z in random_chains(rng, kernel, cx.rank(n))]
+        cycles += assert_cycles_and_classes_agree(cx, n, batch)
+        chains += len(batch)
+    # degree 0: no boundary, every chain a cycle
+    cycles += assert_cycles_and_classes_agree(StubComplex({0: 3}), 0, identity_matrix(3))
+    chains += 3
+    non_units = 0
+    for a in BRANCH_EXAMPLES + [
+        random_sparse_matrix(rng, rng.randint(0, 10), rng.randint(0, 10)) for _ in range(150)
+    ]:
+        nrows = len(a)
+        ncols = len(a[0]) if nrows else 0
+        non_units += any(abs(x) > 1 for row in a for x in row)
+        batch = random_chains(rng, kernel_of(a, nrows, ncols), ncols)
+        cx = StubComplex({0: nrows, 1: ncols}, {1: a})
+        cycles += assert_cycles_and_classes_agree(cx, 1, batch)
+        chains += len(batch)
+    assert non_units > 50
+    assert 0.2 * chains < cycles < 0.8 * chains  # both verdicts are exercised
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_is_cycle_and_cycle_class_match_reference_property(data):
+    a = data.draw(st.one_of(int_matrices(), matrices_of(NON_UNITS)))
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    kernel = kernel_of(a, nrows, ncols)
+    noise = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=len(kernel), max_size=len(kernel)))
+    cycle = [sum(c * k[i] for c, k in zip(coeffs, kernel)) for i in range(ncols)]
+    perturbed = [x + y for x, y in zip(cycle, noise)]
+    cx = StubComplex({0: nrows, 1: ncols}, {1: a})
+    assert_cycles_and_classes_agree(cx, 1, [noise, cycle, perturbed])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from loophom.homology import homology, smith_normal_form
 from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
     BASEPOINT,
-    _on_common_denominator,
     _path_table,
     naturality_check,
     nu_eval,
@@ -33,7 +32,7 @@ from loophom.transform import (
 from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
 from loophom.words import parse_word, positivize
 import oracles
-from oracles import context, nu_basis_matrix
+from oracles import context, nu_basis_matrix, on_common_denominator
 
 X = ((1, 1),)
 A = ProductSimplex(2, ((1, 2), (1, 1)))
@@ -450,10 +449,18 @@ def test_random_simplex_points_are_exact_and_ordered():
     pts = random_simplex_points(3, 50, seed=7)
     assert len(pts) == 50
     assert pts == random_simplex_points(3, 50, seed=7)
-    for x in pts:
-        assert all(isinstance(c, Fraction) for c in x)
-        assert all(0 <= c <= 1 for c in x)
-        assert list(x) == sorted(x)
+    for nums, den in pts:
+        assert all(isinstance(a, int) for a in (*nums, den)) and den > 0
+        assert all(0 <= a <= den for a in nums)
+        assert list(nums) == sorted(nums)
+    # the same draws as the exact-rational generator: every seed gives the
+    # same points, read back as Fractions
+    for n in (1, 2, 3, 4):
+        for seed in (0, 7, 900 + n, 1000 + n):
+            pts = random_simplex_points(n, 60, seed)
+            assert [tuple(Fraction(a, den) for a in nums) for nums, den in pts] == (
+                oracles.random_simplex_points(n, 60, seed)
+            )
 
 
 def test_sampling_oracle_accepts_all_terms():
@@ -467,7 +474,7 @@ def test_sampling_oracle_accepts_all_terms():
 def test_sampling_oracle_rejects_forged_cells():
     xy = parse_word("xy")
     v, sigma = (0, 1), (1, 2)
-    nums, den = _on_common_denominator((Fraction(1, 3), Fraction(1, 2)))
+    nums, den = on_common_denominator((Fraction(1, 3), Fraction(1, 2)))
     path = _path_table(xy, nums, den)
     assert term_matches_path(v, sigma, nums, den, term_to_simplex(xy, v, sigma), path)
     wrong_letters = ProductSimplex(2, ((2, 2), (1, 1)))
@@ -494,7 +501,7 @@ def sample_points(n: int, seed: int) -> list[tuple[Fraction, ...]]:
         tuple(sorted(Fraction(j, d) for j, d in ((1, 24), (2, 3), (5, 7))[:n])),
         (Fraction(7, 24),) * (n - 1) + (Fraction(23, 24),),
     ]
-    return fixed + random_simplex_points(n, 6, seed)
+    return fixed + oracles.random_simplex_points(n, 6, seed)
 
 
 def forged_cells(w, v, sigma) -> list[ProductSimplex]:
@@ -518,7 +525,7 @@ def on_fractions(path, den):
 def verdicts(w, n, x, cells_of):
     """(integer, reference) verdicts of every piece of w at x against each
     of the cells ``cells_of`` names for it."""
-    nums, den = _on_common_denominator(x)
+    nums, den = on_common_denominator(x)
     path, ref_path = _path_table(w, nums, den), oracles._path_table(w, x)
     for v, sigma in shuffle_expand(w, n):
         for cell in cells_of(w, v, sigma):
@@ -529,11 +536,11 @@ def verdicts(w, n, x, cells_of):
 
 
 def test_common_denominator_is_the_least_exact_one():
-    assert _on_common_denominator((Fraction(1, 2), Fraction(1, 3))) == ([3, 2], 6)
-    assert _on_common_denominator((Fraction(0), Fraction(1))) == ([0, 1], 1)
+    assert on_common_denominator((Fraction(1, 2), Fraction(1, 3))) == ([3, 2], 6)
+    assert on_common_denominator((Fraction(0), Fraction(1))) == ([0, 1], 1)
     for n in (1, 2, 3):
         for x in sample_points(n, seed=11 + n):
-            nums, den = _on_common_denominator(x)
+            nums, den = on_common_denominator(x)
             assert all(isinstance(a, int) for a in nums)
             assert den == lcm(*(c.denominator for c in x))
             assert [Fraction(a, den) for a in nums] == list(x)
@@ -543,7 +550,7 @@ def test_path_table_matches_reference():
     for w in ORACLE_WORDS:
         for n in (1, 2, 3):
             for x in sample_points(n, seed=20 + n):
-                nums, den = _on_common_denominator(x)
+                nums, den = on_common_denominator(x)
                 assert on_fractions(_path_table(w, nums, den), den) == oracles._path_table(w, x)
 
 
