@@ -15,12 +15,14 @@ chain is a cycle when the complex's own stored boundary sends it to zero.
 One reduction U ∂ V = D of that boundary reads the class: the rows of V^-1
 past the rank of ∂, the class rows, are all the summary keeps of it.
 `_snf` changes a V^-1 row only while it is the pivot row, so when every
-pivot is a unit each class row is a single 1.
+pivot is a unit each class row is a single 1.  It tracks only D and V^-1:
+U and V exist only as identity blocks that `smith_normal_form` adds to
+its input and the operations carry along.
 
 Boundaries here are mostly zeros and units, so the dense matrices are
 walked only where an entry can change a result.  Each shortcut skips work
-whose outcome is already known, so U, D, V and Vinv come out exactly as a
-full dense walk gives them:
+whose outcome is already known, so D and Vinv, and the U and V read off
+the blocks, come out exactly as a full dense walk gives them:
 
 * The pivot search stops at the first unit in row-major order: 1 is the
   least possible |entry|, and the search keeps the first minimum it meets.
@@ -80,18 +82,13 @@ def det(a: Sequence[Sequence[int]]) -> int:
 
 
 def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
-    """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
-    V Vinv = I.
-
-    The shortcuts (first unit ends the pivot search, no repair scan after a
-    unit pivot, column operations only on rows nonzero in the pivot column)
-    skip steps that provably change nothing; the module docstring says why.
+    """Reduce the leading nrows x ncols block of a copy of a to Smith form;
+    returns (D, Vinv), the reduced copy and the inverse of the column
+    transform V.  Only the block is searched and tested; rows and columns
+    past it ride along, which is how `smith_normal_form` reads U and V.
+    The shortcuts skip steps that provably change nothing (module docstring).
     """
     d = [list(row) for row in a]
-    if len(d) != nrows or any(len(row) != ncols for row in d):
-        raise ValueError("matrix shape disagrees with stated dimensions")
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
     vinv = identity_matrix(ncols)
     t = 0
     while True:
@@ -115,11 +112,8 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
         i0, j0 = piv
         if i0 != t:
             d[t], d[i0] = d[i0], d[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in d:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
                 row[t], row[j0] = row[j0], row[t]
             vinv[t], vinv[j0] = vinv[j0], vinv[t]
         p = d[t][t]
@@ -129,20 +123,16 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
                 q = d[i][t] // p
                 if q:
                     d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 if d[i][t]:
                     dirty = True
         # column t no longer changes below, so a column operation only
-        # touches the rows of d and v that are nonzero there
-        d_rows = [row for row in d if row[t]]
-        v_rows = [row for row in v if row[t]]
+        # touches the rows that are nonzero there
+        rows = [row for row in d if row[t]]
         for j in range(t + 1, ncols):
             if d[t][j]:
                 q = d[t][j] // p
                 if q:
-                    for row in d_rows:
-                        row[j] -= q * row[t]
-                    for row in v_rows:
+                    for row in rows:
                         row[j] -= q * row[t]
                     vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
                 if d[t][j]:
@@ -153,27 +143,35 @@ def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
         if abs(p) != 1:  # a unit divides everything: nothing to repair
             for i in range(t + 1, nrows):
                 row = d[i]
-                if any(x % p for x in row[t + 1:]):
+                if any(x % p for x in row[t + 1:ncols]):
                     d[t] = [x + y for x, y in zip(d[t], row)]
-                    u[t] = [x + y for x, y in zip(u[t], u[i])]
                     repaired = True
                     break
         if repaired:
             continue  # pull the offending row up so the pivot shrinks
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return u, d, v, vinv
+    return d, vinv
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]):
     """(U, D, V) with U a V = D, U and V unimodular, D diagonal with each
-    entry dividing the next."""
+    entry dividing the next.  As in Gauss-Jordan's [A | I], `_snf` reduces
+    a with an identity block to its right, which becomes U, and one below
+    it, which becomes V."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u, d, v, _ = _snf(a, nrows, ncols)
-    return u, d, v
+    if any(len(row) != ncols for row in a):
+        raise ValueError("matrix rows differ in length")
+    bordered = [list(row) + e for row, e in zip(a, identity_matrix(nrows))]
+    bordered += [e + [0] * nrows for e in identity_matrix(ncols)]
+    d, _ = _snf(bordered, nrows, ncols)
+    return (
+        [row[ncols:] for row in d[:nrows]],
+        [row[:ncols] for row in d[:nrows]],
+        [row[:ncols] for row in d[nrows:]],
+    )
 
 
 class ChainComplexLike(Protocol):
@@ -235,9 +233,9 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     # below degree 1 nothing constrains the cycles; a degree without cells has no columns
     md = cx.boundary_matrix(d) if d >= 1 else []
     columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
-    if len(md) != below or len(columns) != nd:
+    if len(md) != below or any(len(row) != nd for row in md) or len(columns) != nd:
         raise ValueError("boundary matrix at d has the wrong shape")
-    _, dd, _, vinv = _snf(md, below, nd)
+    dd, vinv = _snf(md, below, nd)
     rank = nd - sum(1 for i in range(min(below, nd)) if dd[i][i])
     return HomologySummary(
         degree=d,
@@ -289,7 +287,7 @@ def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
     for c, col in enumerate(left):
         for r, x in col.items():
             dense[index[r]][c] = x
-    _, d, _, _ = _snf(dense, len(index), len(left))
+    d, _ = _snf(dense, len(index), len(left))
     factors.extend(d[i][i] for i in range(min(len(index), len(left))) if d[i][i])
     return factors
 

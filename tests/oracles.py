@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import loophom.homology
 from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
-from loophom.homology import ChainComplexLike, Matrix, _snf
+from loophom.homology import ChainComplexLike, Matrix, _snf, smith_normal_form
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
@@ -396,13 +396,13 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     above = cx.rank(d + 1)
     # below degree 1 nothing constrains the cycles
     md = cx.boundary_matrix(d) if d >= 1 else []
-    if len(md) != below:
+    if len(md) != below or any(len(row) != nd for row in md):
         raise ValueError("boundary matrix at d has the wrong shape")
     md1 = cx.boundary_matrix(d + 1)
-    if len(md1) != nd:
+    if len(md1) != nd or any(len(row) != above for row in md1):
         raise ValueError("boundary matrix at d+1 has the wrong shape")
 
-    _, dd, _, vinv = _snf(md, below, nd)
+    dd, vinv = _snf(md, below, nd)
     cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
     kernel_dim = nd - cycle_rank
 
@@ -414,7 +414,7 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
         if any(bdry[i]):
             raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     projected = bdry[cycle_rank:]
-    uprime, dprime, _, _ = _snf(projected, kernel_dim, above)
+    uprime, dprime, _ = smith_normal_form(projected)
     diag = tuple(
         dprime[i][i] for i in range(min(kernel_dim, above)) if dprime[i][i]
     )

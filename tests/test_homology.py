@@ -29,10 +29,25 @@ import oracles
 from oracles import mat_mul, mat_vec
 
 
+def snf_outputs(a, nrows: int, ncols: int):
+    """`smith_normal_form`'s (U, D, V) with `_snf`'s Vinv, after checking
+    that `_snf` gives the same D; they must equal `reference_snf`'s
+    (U, D, V, Vinv).  A matrix with no rows has no width to give
+    `smith_normal_form`, which reads it as 0 x 0."""
+    d, vinv = _snf(a, nrows, ncols)
+    if not nrows:
+        assert smith_normal_form(a) == ([], [], [])
+        return [], d, identity_matrix(ncols), vinv
+    u, d2, v = smith_normal_form(a)
+    assert d2 == d
+    return u, d, v, vinv
+
+
 def check_snf_contract(a):
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u, d, v, vinv = _snf(a, nrows, ncols)
+    u, d, v, vinv = snf_outputs(a, nrows, ncols)
+    assert (u, d, v, vinv) == reference_snf(a, nrows, ncols)
     # U a V = D
     uav = mat_mul(mat_mul(u, a), v)
     assert uav == d
@@ -87,9 +102,9 @@ def test_snf_contract_on_seeded_matrices():
 def test_snf_deterministic():
     rng = random.Random(7)
     a = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
-    first = _snf(a, 5, 6)
-    second = _snf([row[:] for row in a], 5, 6)
-    assert first == second
+    first = snf_outputs(a, 5, 6)
+    second = snf_outputs([row[:] for row in a], 5, 6)
+    assert first == second == reference_snf(a, 5, 6)
 
 
 def test_snf_rank_one_and_gcd():
@@ -189,6 +204,38 @@ def test_homology_rejects_degrees_with_cells_above():
         homology(StubComplex({0: 1, 1: 1}), 0)
 
 
+class ShapeStub(StubComplex):
+    """A stub whose sparse boundaries have the stated number of columns
+    whatever its dense matrices hold, so only a dense shape is wrong."""
+
+    @property
+    def boundaries(self) -> dict[int, list[tuple[tuple[int, int], ...]]]:
+        return {d: [()] * self.rank(d) for d in self.ranks}
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[1, 0]],  # a row short
+        [[1, 0], [0, 1], [1, 1]],  # a row too many
+        [[1, 0], [0, 1, 0]],  # ragged
+        [[1], [0, 1]],  # ragged, the short row first
+        [[1, 0, 0], [0, 1, 0]],  # every row too wide
+    ],
+)
+def test_homology_rejects_boundaries_of_the_wrong_shape(mat):
+    cx = ShapeStub({0: 2, 1: 2}, {1: mat})
+    for method in (homology, oracles.homology):
+        with pytest.raises(ValueError, match="^boundary matrix at d has the wrong shape$"):
+            method(cx, 1)
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+def test_smith_normal_form_rejects_ragged_matrices(a):
+    with pytest.raises(ValueError, match="^matrix rows differ in length$"):
+        smith_normal_form(a)
+
+
 # ---------------------------------------------------------------------------
 # Homology of the pair complexes.
 # ---------------------------------------------------------------------------
@@ -255,7 +302,7 @@ def test_cycle_class_additive():
     rng = random.Random(5)
     # kernel vectors via SNF: columns of V past the rank
     nrows, ncols = len(m3), cx.rank(3)
-    _, d, v, _ = _snf(m3, nrows, ncols)
+    _, d, v = smith_normal_form(m3)
     r = sum(1 for i in range(min(nrows, ncols)) if d[i][i])
     kernel = [[v[row][j] for row in range(ncols)] for j in range(r, ncols)]
     for _ in range(20):
@@ -271,9 +318,10 @@ def test_cycle_class_additive():
 # Differential tests against the dense product and reduction.
 # ---------------------------------------------------------------------------
 
-# The two functions below are the dense originals that `mat_mul` and `_snf`
-# replaced, kept unchanged as the reference the shortcuts must reproduce
-# exactly, transforms included.
+# The two functions below are the dense originals that `mat_mul` and the
+# Smith reduction replaced, kept unchanged as the reference the shortcuts
+# must reproduce exactly: `_snf`'s D and Vinv, and the U and V that
+# `smith_normal_form` reads off its identity blocks.
 
 
 def reference_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
@@ -393,10 +441,18 @@ def test_snf_matches_reference_on_seeded_sparse_matrices():
         nrows = rng.randint(0, 14)
         ncols = rng.randint(0, 14)
         randoms.append(random_sparse_matrix(rng, nrows, ncols))
+    # small matrices without units, which reach the repair scan often: it
+    # must read only the leading block, not the identity block beside it
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        randoms.append([[rng.choice(NON_UNIT_ENTRIES) for _ in range(ncols)] for _ in range(nrows)])
     for a in BRANCH_EXAMPLES + randoms:
         nrows = len(a)
         ncols = len(a[0]) if nrows else 0
-        assert _snf(a, nrows, ncols) == reference_snf(a, nrows, ncols)
+        assert snf_outputs(a, nrows, ncols) == reference_snf(a, nrows, ncols)
+    for k in range(4):  # no rows, or rows without entries
+        assert snf_outputs([], 0, k) == reference_snf([], 0, k)
+        assert snf_outputs([[]] * k, k, 0) == reference_snf([[]] * k, k, 0)
 
 
 def test_mat_mul_matches_reference_on_seeded_sparse_matrices():
@@ -427,7 +483,7 @@ def int_matrices(draw, nrows=st.integers(0, 9), ncols=st.integers(0, 9)):
 def test_snf_matches_reference_property(a):
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    assert _snf(a, nrows, ncols) == reference_snf(a, nrows, ncols)
+    assert snf_outputs(a, nrows, ncols) == reference_snf(a, nrows, ncols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -669,8 +725,11 @@ def test_top_degree_summaries_match_reference_on_seeded_stubs():
 
 
 def kernel_of(a: Sequence[Sequence[int]], nrows: int, ncols: int) -> list[list[int]]:
-    """A basis of the integer kernel of a: the columns of V past the rank."""
-    _, dd, v, _ = _snf(a, nrows, ncols)
+    """A basis of the integer kernel of a: the columns of V past the rank,
+    or every unit vector when a has no rows."""
+    if not nrows:
+        return identity_matrix(ncols)
+    _, dd, v = smith_normal_form(a)
     r = sum(1 for i in range(min(nrows, ncols)) if dd[i][i])
     return [[row[j] for row in v] for j in range(r, ncols)]
 
@@ -804,7 +863,8 @@ def test_invariant_factors_match_reference_on_seeded_matrices(remainders):
     assert sum(1 for r, c in remainders if r and c) > 100  # the dense remainder ran
 
 
-NON_UNITS = st.sampled_from((0, 0, 2, -2, 3, -4, 6, 9))
+NON_UNIT_ENTRIES = (0, 0, 2, -2, 3, -4, 6, 9)
+NON_UNITS = st.sampled_from(NON_UNIT_ENTRIES)
 
 
 @st.composite
@@ -834,6 +894,27 @@ def test_invariant_factors_split_off_units_before_the_remainder(remainders):
     a = [[1, 5, 7], [3, 17, 25], [0, 6, 8]]
     assert invariant_factors(columns_of(a, 3), 3) == [1, 2, 4]
     assert remainders == [(2, 2)]
+
+
+def test_library_reductions_build_only_vinv(monkeypatch):
+    """The top-degree class map and the groups of the `homology-n4` grid
+    build one identity matrix per reduction, the start of Vinv: no U or V."""
+    sizes, widths = [], []
+
+    def identity_spy(n):
+        sizes.append(n)
+        return identity_matrix(n)
+
+    def snf_spy(a, nrows, ncols):
+        widths.append(ncols)
+        return _snf(a, nrows, ncols)
+
+    monkeypatch.setattr("loophom.homology.identity_matrix", identity_spy)
+    monkeypatch.setattr("loophom.homology._snf", snf_spy)
+    homology(build_pair_complex(4, 2), 4)
+    for n, g in [(3, 3), (4, 2)]:
+        homology_groups(build_pair_complex(n, g))
+    assert widths and sizes == widths
 
 
 @dataclass
