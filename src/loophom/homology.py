@@ -19,40 +19,32 @@ pivot is a unit each class row is a single 1.  It tracks only D and V^-1:
 U and V exist only as identity blocks that `smith_normal_form` adds to
 its input and the operations carry along.
 
-Boundaries here are mostly zeros and units, so the dense matrices are
-walked only where an entry can change a result.  Each shortcut skips work
-whose outcome is already known, so D and Vinv, and the U and V read off
-the blocks, come out exactly as a full dense walk gives them:
-
-* The pivot search stops at the first unit in row-major order: 1 is the
-  least possible |entry|, and the search keeps the first minimum it meets.
-* A unit pivot skips the divisibility-repair scan, since ``x % ±1 == 0``.
-* A column operation ``col_j -= q col_t`` touches only the rows whose
-  column-t entry is nonzero; the others would lose ``q * 0``.
+Boundaries are mostly zeros and units, so `_snf` keeps each row of D and
+V^-1 as a dict of its nonzeros, summed through `words.combine`, and makes
+exactly the dense reduction's steps (`tests/oracles.py` keeps that one):
+an index from each column to the rows with an entry there names the rows
+an operation touches, and a heap holds every row position that may hold
+a unit.  1 is the least |entry|, so the first row in the heap with one
+gives the pivot; only a matrix with no unit left is scanned for its least
+entry, and only a non-unit pivot needs the divisibility repair.
 
 Ranks and torsion in every degree need no coordinates.  `homology_groups`
 reads them from the invariant factors of each boundary, which
 `invariant_factors` finds on the stored sparse columns: it eliminates on a
 ±1 entry of each column in turn, each of which splits off a factor 1, and
-hands whatever no unit pivoted to the dense `_snf`.  So invariants come
-from sparse unit elimination; top-degree coordinates, which need the
-transform, from the dense deterministic reduction in `homology`.
+hands whatever no unit pivoted to `_snf`, as the rows of its transpose.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 from .wedge import Column
 from .words import combine
-
-Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def det(a: Sequence[Sequence[int]]) -> int:
@@ -81,76 +73,89 @@ def det(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
-    """Reduce the leading nrows x ncols block of a copy of a to Smith form;
-    returns (D, Vinv), the reduced copy and the inverse of the column
-    transform V.  Only the block is searched and tested; rows and columns
-    past it ride along, which is how `smith_normal_form` reads U and V.
-    The shortcuts skip steps that provably change nothing (module docstring).
-    """
-    d = [list(row) for row in a]
-    vinv = identity_matrix(ncols)
+def _pivot(d: list[dict[int, int]], heap: list[int], t: int, nrows: int, ncols: int):
+    """The pivot at step t: the least |entry| in rows t..nrows-1 and columns
+    t..ncols-1, the first in row-major order.  `heap` holds every row
+    position that may have a unit, the least possible |entry|."""
+    while heap:
+        i = heap[0]
+        if i >= t:
+            units = [c for c, x in d[i].items() if t <= c < ncols and x in (1, -1)]
+            if units:
+                return i, min(units)
+        heapq.heappop(heap)
+    entries = ((abs(x), i, c) for i in range(t, nrows) for c, x in d[i].items() if t <= c < ncols)
+    best = min(entries, default=None)
+    return None if best is None else best[1:]
+
+
+def _snf(rows: Iterable[Iterable[tuple[int, int]]], nrows: int, ncols: int):
+    """Reduce the leading nrows x ncols block of the matrix with these rows,
+    each as (column, entry) pairs, to Smith form: returns (D, Vinv), each as
+    {column: entry} rows that store no zero.  Only the block is searched and
+    tested; rows and columns past it ride along, which is how
+    `smith_normal_form` reads U and V."""
+    d = [combine(row) for row in rows]
+    vinv = [{c: 1} for c in range(ncols)]
+    where: dict[int, set[int]] = defaultdict(set)  # column -> positions of its rows
+    for i, row in enumerate(d):
+        for c in row:
+            where[c].add(i)
+    heap = list(range(nrows))  # positions of the rows that may hold a unit
     t = 0
-    while True:
-        # deterministic pivot: minimal |entry|, then lowest (row, col); the
-        # first unit in row-major order is already that entry
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            row = d[i]
-            for j in range(t, ncols):
-                x = row[j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
+
+    def put(i: int, row: dict[int, int]) -> None:
+        """Store row at position i, updating the column index and the heap."""
+        old = d[i]
+        for c in old.keys() - row.keys():
+            where[c].discard(i)
+        for c in row.keys() - old.keys():
+            where[c].add(i)
+        d[i] = row
+        if t <= i < nrows:
+            heapq.heappush(heap, i)
+
+    while (piv := _pivot(d, heap, t, nrows, ncols)) is not None:
         i0, j0 = piv
         if i0 != t:
-            d[t], d[i0] = d[i0], d[t]
+            top = d[t]
+            put(t, d[i0])
+            put(i0, top)
         if j0 != t:
-            for row in d:
-                row[t], row[j0] = row[j0], row[t]
+            swap = {t: j0, j0: t}
+            for i in where[t] | where[j0]:
+                d[i] = {swap.get(c, c): x for c, x in d[i].items()}
+            where[t], where[j0] = where[j0], where[t]
             vinv[t], vinv[j0] = vinv[j0], vinv[t]
-        p = d[t][t]
+        pivot_row = d[t]
+        p = pivot_row[t]
         dirty = False
-        for i in range(t + 1, nrows):
-            if d[i][t]:
-                q = d[i][t] // p
-                if q:
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                if d[i][t]:
+        for i in [i for i in where[t] if t < i < nrows]:
+            q = d[i][t] // p
+            if q:
+                put(i, combine(itertools.chain(
+                    d[i].items(), ((c, -q * x) for c, x in pivot_row.items()))))
+            dirty = dirty or t in d[i]
+        # column t no longer changes: a column operation touches only where[t]
+        ops = [(j, x // p) for j, x in pivot_row.items() if t < j < ncols and x // p]
+        if ops:
+            for i in list(where[t]):
+                row = d[i]
+                put(i, combine(itertools.chain(row.items(), ((j, -q * row[t]) for j, q in ops))))
+            vinv[t] = combine(itertools.chain(
+                vinv[t].items(), ((c, q * x) for j, q in ops for c, x in vinv[j].items())))
+        dirty = dirty or any(t < j < ncols for j in d[t])
+        if not dirty and abs(p) != 1:  # a unit divides everything: nothing to repair
+            for i in range(t + 1, nrows):
+                if any(x % p for c, x in d[i].items() if t < c < ncols):
+                    # pull the offending row up so the pivot shrinks
+                    put(t, combine(itertools.chain(d[t].items(), d[i].items())))
                     dirty = True
-        # column t no longer changes below, so a column operation only
-        # touches the rows that are nonzero there
-        rows = [row for row in d if row[t]]
-        for j in range(t + 1, ncols):
-            if d[t][j]:
-                q = d[t][j] // p
-                if q:
-                    for row in rows:
-                        row[j] -= q * row[t]
-                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
-                if d[t][j]:
-                    dirty = True
+                    break
         if dirty:
             continue  # remainders became new, smaller candidates
-        repaired = False
-        if abs(p) != 1:  # a unit divides everything: nothing to repair
-            for i in range(t + 1, nrows):
-                row = d[i]
-                if any(x % p for x in row[t + 1:ncols]):
-                    d[t] = [x + y for x, y in zip(d[t], row)]
-                    repaired = True
-                    break
-        if repaired:
-            continue  # pull the offending row up so the pivot shrinks
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
+        if p < 0:
+            d[t] = {c: -x for c, x in d[t].items()}
         t += 1
     return d, vinv
 
@@ -164,9 +169,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     ncols = len(a[0]) if nrows else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("matrix rows differ in length")
-    bordered = [list(row) + e for row, e in zip(a, identity_matrix(nrows))]
-    bordered += [e + [0] * nrows for e in identity_matrix(ncols)]
-    d, _ = _snf(bordered, nrows, ncols)
+    bordered = [[*enumerate(row), (ncols + i, 1)] for i, row in enumerate(a)]
+    bordered += [[(j, 1)] for j in range(ncols)]
+    d = [[row.get(c, 0) for c in range(ncols + nrows)] for row in _snf(bordered, nrows, ncols)[0]]
     return (
         [row[ncols:] for row in d[:nrows]],
         [row[:ncols] for row in d[:nrows]],
@@ -235,15 +240,13 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
     if len(md) != below or any(len(row) != nd for row in md) or len(columns) != nd:
         raise ValueError("boundary matrix at d has the wrong shape")
-    dd, vinv = _snf(md, below, nd)
-    rank = nd - sum(1 for i in range(min(below, nd)) if dd[i][i])
+    dd, vinv = _snf([((c, x) for c, x in enumerate(row) if x) for row in md], below, nd)
+    rank = nd - sum(1 for i in range(min(below, nd)) if i in dd[i])
     return HomologySummary(
         degree=d,
         rank=rank,
         _boundary=columns,
-        _classes=tuple(
-            tuple((c, x) for c, x in enumerate(row) if x) for row in vinv[nd - rank:]
-        ),
+        _classes=tuple(tuple(sorted(row.items())) for row in vinv[nd - rank:]),
     )
 
 
@@ -281,14 +284,11 @@ def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
             rows[s].discard(j)
         cols[j] = {}
         factors.append(1)
+    # the transpose has the same factors: each leftover column is a row
     left = [col for col in cols if col]
     index = {r: i for i, r in enumerate(sorted(set().union(*left)))}
-    dense = [[0] * len(left) for _ in index]
-    for c, col in enumerate(left):
-        for r, x in col.items():
-            dense[index[r]][c] = x
-    d, _ = _snf(dense, len(index), len(left))
-    factors.extend(d[i][i] for i in range(min(len(index), len(left))) if d[i][i])
+    d, _ = _snf([((index[r], x) for r, x in col.items()) for col in left], len(left), len(index))
+    factors.extend(d[i][i] for i in range(min(len(left), len(index))) if i in d[i])
     return factors
 
 

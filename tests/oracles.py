@@ -3,9 +3,10 @@
 Most functions restate a definition directly (pointwise, by membership or
 by brute force), so that agreement with the library's construction is a
 check rather than a tautology.  The general `homology`, with its summary,
-`mat_vec` and `mat_mul`, is the two-reduction reference at every degree:
-it pins ranks, torsion and transforms below the top, and the library's
-top-degree `homology` must agree with it where both apply.  `path_eval`,
+`mat_vec` and `mat_mul`, is the two-reduction reference at every degree,
+on the dense `reference_snf` rather than the library's reduction: it pins
+ranks, torsion and transforms below the top, and the library's top-degree
+`homology` must agree with it where both apply.  `path_eval`,
 `_path_table` and `term_matches_path` are the sampling oracle in exact
 rationals, the reference for the library's integer form;
 `random_simplex_points` draws the library's seeded points as `Fraction`s,
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 import loophom.homology
 from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
-from loophom.homology import ChainComplexLike, Matrix, _snf, smith_normal_form
+from loophom.homology import ChainComplexLike
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
@@ -330,6 +331,87 @@ def term_matches_path(
 # the library's `homology` must give the same rank, transform and classes.
 
 
+Matrix = list[list[int]]
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def reference_snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
+    """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
+    V Vinv = I.  The dense original of the library's `_snf`, kept unchanged:
+    the sparse reduction must reproduce its D and Vinv exactly, and
+    `smith_normal_form` its U and V."""
+    d = [list(row) for row in a]
+    if len(d) != nrows or any(len(row) != ncols for row in d):
+        raise ValueError("matrix shape disagrees with stated dimensions")
+    u = identity_matrix(nrows)
+    v = identity_matrix(ncols)
+    vinv = identity_matrix(ncols)
+    t = 0
+    while True:
+        # deterministic pivot: minimal |entry|, then lowest (row, col)
+        piv = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = d[i][j]
+                if x and (best is None or abs(x) < best):
+                    best = abs(x)
+                    piv = (i, j)
+        if piv is None:
+            break
+        i0, j0 = piv
+        if i0 != t:
+            d[t], d[i0] = d[i0], d[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for row in d:
+                row[t], row[j0] = row[j0], row[t]
+            for row in v:
+                row[t], row[j0] = row[j0], row[t]
+            vinv[t], vinv[j0] = vinv[j0], vinv[t]
+        p = d[t][t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            if d[i][t]:
+                q = d[i][t] // p
+                if q:
+                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if d[i][t]:
+                    dirty = True
+        for j in range(t + 1, ncols):
+            if d[t][j]:
+                q = d[t][j] // p
+                if q:
+                    for row in d:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
+                if d[t][j]:
+                    dirty = True
+        if dirty:
+            continue  # remainders became new, smaller candidates
+        repaired = False
+        for i in range(t + 1, nrows):
+            row = d[i]
+            if any(x % p for x in row[t + 1:]):
+                d[t] = [x + y for x, y in zip(d[t], row)]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
+                repaired = True
+                break
+        if repaired:
+            continue  # pull the offending row up so the pivot shrinks
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return u, d, v, vinv
+
+
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     """Product a @ v."""
     # v as its (k, v[k]) nonzeros: zero terms add nothing
@@ -402,7 +484,7 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     if len(md1) != nd or any(len(row) != above for row in md1):
         raise ValueError("boundary matrix at d+1 has the wrong shape")
 
-    dd, vinv = _snf(md, below, nd)
+    _, dd, _, vinv = reference_snf(md, below, nd)
     cycle_rank = sum(1 for i in range(min(below, nd)) if dd[i][i])
     kernel_dim = nd - cycle_rank
 
@@ -414,7 +496,7 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
         if any(bdry[i]):
             raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     projected = bdry[cycle_rank:]
-    uprime, dprime, _ = smith_normal_form(projected)
+    uprime, dprime, _, _ = reference_snf(projected, kernel_dim, above)
     diag = tuple(
         dprime[i][i] for i in range(min(kernel_dim, above)) if dprime[i][i]
     )

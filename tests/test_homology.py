@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import astuple, dataclass, field
+from functools import lru_cache
 from hashlib import sha256
 from typing import Sequence
 
@@ -12,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loophom.homology import (
-    Matrix,
     _snf,
     det,
     homology,
     homology_groups,
-    identity_matrix,
     invariant_factors,
     smith_normal_form,
 )
@@ -26,15 +25,24 @@ from loophom.wedge import build_pair_complex
 from loophom.words import positive_words
 
 import oracles
-from oracles import mat_mul, mat_vec
+from oracles import Matrix, identity_matrix, mat_mul, mat_vec, reference_snf
+
+
+def sparse_rows(a) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row of a dense matrix as its nonzero (column, entry) pairs."""
+    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in a)
 
 
 def snf_outputs(a, nrows: int, ncols: int):
     """`smith_normal_form`'s (U, D, V) with `_snf`'s Vinv, after checking
     that `_snf` gives the same D; they must equal `reference_snf`'s
-    (U, D, V, Vinv).  A matrix with no rows has no width to give
+    (U, D, V, Vinv).  `_snf` reads and returns sparse rows, written out
+    densely here.  A matrix with no rows has no width to give
     `smith_normal_form`, which reads it as 0 x 0."""
-    d, vinv = _snf(a, nrows, ncols)
+    d, vinv = (
+        [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        for rows in _snf(sparse_rows(a), nrows, ncols)
+    )
     if not nrows:
         assert smith_normal_form(a) == ([], [], [])
         return [], d, identity_matrix(ncols), vinv
@@ -318,10 +326,10 @@ def test_cycle_class_additive():
 # Differential tests against the dense product and reduction.
 # ---------------------------------------------------------------------------
 
-# The two functions below are the dense originals that `mat_mul` and the
-# Smith reduction replaced, kept unchanged as the reference the shortcuts
-# must reproduce exactly: `_snf`'s D and Vinv, and the U and V that
-# `smith_normal_form` reads off its identity blocks.
+# `reference_mat_mul` is the dense original that `mat_mul` replaced, and
+# `oracles.reference_snf` the dense original of the Smith reduction: the
+# sparse `_snf` must reproduce its D and Vinv exactly, and
+# `smith_normal_form` the U and V that it reads off its identity blocks.
 
 
 def reference_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
@@ -334,78 +342,6 @@ def reference_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
         [sum(row[k] * b[k][c] for k in range(inner)) for c in range(cols)]
         for row in a
     ]
-
-
-def reference_snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
-    """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
-    V Vinv = I."""
-    d = [list(row) for row in a]
-    if len(d) != nrows or any(len(row) != ncols for row in d):
-        raise ValueError("matrix shape disagrees with stated dimensions")
-    u = identity_matrix(nrows)
-    v = identity_matrix(ncols)
-    vinv = identity_matrix(ncols)
-    t = 0
-    while True:
-        # deterministic pivot: minimal |entry|, then lowest (row, col)
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            d[t], d[i0] = d[i0], d[t]
-            u[t], u[i0] = u[i0], u[t]
-        if j0 != t:
-            for row in d:
-                row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
-            vinv[t], vinv[j0] = vinv[j0], vinv[t]
-        p = d[t][t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            if d[i][t]:
-                q = d[i][t] // p
-                if q:
-                    d[i] = [x - q * y for x, y in zip(d[i], d[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                if d[i][t]:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if d[t][j]:
-                q = d[t][j] // p
-                if q:
-                    for row in d:
-                        row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
-                if d[t][j]:
-                    dirty = True
-        if dirty:
-            continue  # remainders became new, smaller candidates
-        repaired = False
-        for i in range(t + 1, nrows):
-            row = d[i]
-            if any(x % p for x in row[t + 1:]):
-                d[t] = [x + y for x, y in zip(d[t], row)]
-                u[t] = [x + y for x, y in zip(u[t], u[i])]
-                repaired = True
-                break
-        if repaired:
-            continue  # pull the offending row up so the pivot shrinks
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, d, v, vinv
 
 
 def random_sparse_matrix(rng: random.Random, nrows: int, ncols: int) -> Matrix:
@@ -637,24 +573,35 @@ HOMOLOGY_PINS = {
 }
 
 
+@lru_cache(maxsize=None)
+def reference_summaries(n: int, g: int):
+    """The pair complex and the reference's summaries at every degree
+    0..n+1, computed once for the tests that share them: the reference
+    reduction is dense and searches its whole remaining submatrix."""
+    cx = build_pair_complex(n, g)
+    return cx, tuple(oracles.homology(cx, d) for d in range(n + 2))
+
+
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
 def test_homology_summaries_match_pins(n, g):
-    cx = build_pair_complex(n, g)
-    digests = tuple(
-        sha256(repr(astuple(oracles.homology(cx, d))).encode()).hexdigest()
-        for d in range(n + 2)
-    )
+    _, summaries = reference_summaries(n, g)
+    digests = tuple(sha256(repr(astuple(h)).encode()).hexdigest() for h in summaries)
     assert digests == HOMOLOGY_PINS[n, g]
+
+
+def test_top_degree_classes_match_pin_past_the_grid():
+    """The top degree at (4, 3), past `HOMOLOGY_PINS`: its rank, and the
+    sha256 of repr(_classes) recorded with the dense reduction."""
+    summary = homology(build_pair_complex(4, 3), 4)
+    assert summary.rank == 120
+    assert sha256(repr(summary._classes).encode()).hexdigest() == (
+        "18ecf6158cfe305443b12cbcabc3e00d0a618600aa24d62bd79c6d025ca5659f"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Top-degree coordinates against the general two-reduction reference.
 # ---------------------------------------------------------------------------
-
-
-def sparse_rows(a) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each row of a dense matrix as its nonzero (column, entry) pairs."""
-    return tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in a)
 
 
 def assert_summaries_agree(lib, ref, chains) -> None:
@@ -684,12 +631,12 @@ def assert_summaries_agree(lib, ref, chains) -> None:
 
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
 def test_top_degree_summaries_match_reference(n, g):
-    cx = build_pair_complex(n, g)
+    cx, summaries = reference_summaries(n, g)
     chains = [nu_vector(w, cx) for w in positive_words(g, range(4))]
     for d, cycles in ((n, chains), (n + 1, [])):
         lib = homology(cx, d)
         assert lib._boundary is cx.boundaries[d]  # shared, not copied
-        assert_summaries_agree(lib, oracles.homology(cx, d), cycles)
+        assert_summaries_agree(lib, summaries[d], cycles)
 
 
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
@@ -860,7 +807,7 @@ def test_invariant_factors_match_reference_on_seeded_matrices(remainders):
         nrows = len(a)
         ncols = len(a[0]) if nrows else 0
         assert invariant_factors(columns_of(a, ncols), nrows) == reference_factors(a, nrows, ncols)
-    assert sum(1 for r, c in remainders if r and c) > 100  # the dense remainder ran
+    assert sum(1 for r, c in remainders if r and c) > 100  # the Smith remainder ran
 
 
 NON_UNIT_ENTRIES = (0, 0, 2, -2, 3, -4, 6, 9)
@@ -875,7 +822,7 @@ def matrices_of(draw, entries):
 
 def test_invariant_factors_match_reference_property(remainders):
     """Torsion included; matrices without a unit leave everything to the
-    dense remainder."""
+    Smith remainder."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(int_matrices(), matrices_of(NON_UNITS)))
@@ -898,23 +845,22 @@ def test_invariant_factors_split_off_units_before_the_remainder(remainders):
 
 def test_library_reductions_build_only_vinv(monkeypatch):
     """The top-degree class map and the groups of the `homology-n4` grid
-    build one identity matrix per reduction, the start of Vinv: no U or V."""
-    sizes, widths = [], []
+    run one reduction per boundary, of that boundary alone: no identity
+    block rides along to become U or V, and only D and Vinv come back."""
+    bare = []
 
-    def identity_spy(n):
-        sizes.append(n)
-        return identity_matrix(n)
+    def spy(rows, nrows, ncols):
+        rows = [list(row) for row in rows]
+        bare.append(len(rows) == nrows and all(c < ncols for row in rows for c, _ in row))
+        d, vinv = _snf(rows, nrows, ncols)
+        assert (len(d), len(vinv)) == (nrows, ncols)
+        return d, vinv
 
-    def snf_spy(a, nrows, ncols):
-        widths.append(ncols)
-        return _snf(a, nrows, ncols)
-
-    monkeypatch.setattr("loophom.homology.identity_matrix", identity_spy)
-    monkeypatch.setattr("loophom.homology._snf", snf_spy)
+    monkeypatch.setattr("loophom.homology._snf", spy)
     homology(build_pair_complex(4, 2), 4)
     for n, g in [(3, 3), (4, 2)]:
         homology_groups(build_pair_complex(n, g))
-    assert widths and sizes == widths
+    assert bare == [True] * (1 + 4 + 5)  # boundaries 1..n+1 for the groups
 
 
 @dataclass
@@ -929,11 +875,8 @@ class SparseStub:
 
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
 def test_homology_groups_match_homology(n, g):
-    cx = build_pair_complex(n, g)
-    expected = [
-        (oracles.homology(cx, d).rank, oracles.homology(cx, d).torsion) for d in range(n + 1)
-    ]
-    assert homology_groups(cx) == expected
+    cx, summaries = reference_summaries(n, g)
+    assert homology_groups(cx) == [(h.rank, h.torsion) for h in summaries[:n + 1]]
 
 
 def test_homology_groups_reject_exactly_nonzero_products_on_random_pairs():
