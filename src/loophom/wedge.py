@@ -21,6 +21,11 @@ ascending and, within a generator, jumps descending.
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
 nonzeros per basis cell.  The dense matrix is built only when asked for.
+A face of a product simplex is taken componentwise, and a circle cell has
+few faces: `face_tables` lists face i of each of the g·d + 1 cells of
+dimension d once, so that assembling a boundary is table lookups rather
+than one `cell_face` call per component per face (the same idea as the
+precomputed coface lookups of Bauer's Ripser).
 """
 
 from __future__ import annotations
@@ -155,32 +160,36 @@ class PairComplex:
         return tuple(map(tuple, dense))
 
 
-def boundary_of_simplex(
-    s: ProductSimplex, basis_index: dict[tuple[Cell, ...], int]
-) -> Column:
-    """Sorted (index, coefficient) nonzeros of the alternating face sum,
-    keeping only faces that stay in the spanning set (nondegenerate,
-    outside Y).  `basis_index` maps the components of each basis cell one
-    dimension down to its index, so a face is looked up without building
-    it as a simplex."""
-    d = s.dim
-    faces = (
-        (basis_index.get(tuple(cell_face(c, d, i) for c in s.components)), (-1) ** i)
-        for i in range(d + 1)
-    )
-    return tuple(sorted(combine((r, c) for r, c in faces if r is not None).items()))
+def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
+    """For each face index i in [0, d], the map from every dimension-d cell
+    of a rank-g wedge to its face i (`cell_face`): g·d + 1 entries each."""
+    cells: list[Cell] = [None]
+    cells.extend((e, j) for e in range(1, g + 1) for j in range(1, d + 1))
+    return tuple({c: cell_face(c, d, i) for c in cells} for i in range(d + 1))
 
 
 def build_pair_complex(n: int, g: int) -> PairComplex:
-    """Bases and sparse boundary columns up to dimension n+1."""
+    """Bases and sparse boundary columns up to dimension n+1.
+
+    A column is the alternating sum of the faces that stay in the spanning
+    set (nondegenerate, outside Y).  Face i of a simplex is its components
+    each looked up in the face-i table, and its row is that tuple looked up
+    in the index of the basis one dimension down."""
     if n < 1 or g < 1:
         raise ValueError("need n >= 1 and g >= 1")
     d_max = n + 1
     bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
     boundaries: list[tuple[Column, ...]] = [()]
     for d in range(1, d_max + 1):
-        index = {s.components: i for i, s in enumerate(bases[d - 1])}
-        boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
+        row_of = {s.components: i for i, s in enumerate(bases[d - 1])}.get
+        faces = [(table.__getitem__, (-1) ** i) for i, table in enumerate(face_tables(g, d))]
+        columns = []
+        for s in bases[d]:
+            cs = s.components
+            terms = [(row_of(tuple(map(face, cs))), sign) for face, sign in faces]
+            column = combine([(r, sign) for r, sign in terms if r is not None])
+            columns.append(tuple(sorted(column.items())))
+        boundaries.append(tuple(columns))
     return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
 
 
@@ -208,8 +217,12 @@ def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
             [None if c is None else [alphabet[c[0] - 1], c[1]] for c in s.components]
             for s in cx.basis(d)
         ]
-        triplets = sorted(  # row-major order
-            [r, c, x] for c, column in enumerate(cx.boundaries[d]) for r, x in column
-        )
+        # row-major order without a sort: columns come in increasing c,
+        # so each row's bucket fills in increasing c
+        rows: list[list[list[int]]] = [[] for _ in range(cx.rank(d - 1))]
+        for c, column in enumerate(cx.boundaries[d]):
+            for r, x in column:
+                rows[r].append([r, c, x])
+        triplets = [t for row in rows for t in row]
         dims.append({"d": d, "basis": basis_json, "boundary": triplets})
     return {"n": cx.n, "g": cx.g, "dims": dims}

@@ -10,7 +10,10 @@ ranks, torsion and transforms below the top, and the library's top-degree
 `_path_table` and `term_matches_path` are the sampling oracle in exact
 rationals, the reference for the library's integer form;
 `random_simplex_points` draws the library's seeded points as `Fraction`s,
-and `on_common_denominator` puts such a point on integers.  The rest are
+and `on_common_denominator` puts such a point on integers.
+`build_pair_complex` sums each boundary column face by face through
+`cell_face` (`boundary_of_simplex`), the reference for the library's
+assembly from per-dimension face tables.  The rest are
 conveniences built on the library -- coordinates, the rank-1 evaluation
 matrix, a cached top-degree context.  None of them is needed to compute
 anything.
@@ -27,13 +30,14 @@ from random import Random
 from typing import Mapping, Sequence
 
 import loophom.homology
+import loophom.wedge
 from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
 from loophom.homology import ChainComplexLike
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
-from loophom.wedge import PairComplex, ProductSimplex, build_pair_complex, cell_face
-from loophom.words import Monomial, Word, WordCombo, combo_magnus
+from loophom.wedge import Cell, Column, PairComplex, ProductSimplex, cell_face, enumerate_basis
+from loophom.words import Monomial, Word, WordCombo, combine, combo_magnus
 
 
 def as_point(coords: Sequence) -> Point:
@@ -134,6 +138,35 @@ def face(s: ProductSimplex, i: int) -> ProductSimplex:
     return ProductSimplex(s.dim - 1, tuple(cell_face(c, s.dim, i) for c in s.components))
 
 
+def boundary_of_simplex(
+    s: ProductSimplex, basis_index: dict[tuple[Cell, ...], int]
+) -> Column:
+    """Sorted (index, coefficient) nonzeros of the alternating face sum,
+    keeping only faces that stay in the spanning set (nondegenerate,
+    outside Y).  `basis_index` maps the components of each basis cell one
+    dimension down to its index.  Every face cell comes from its own
+    `cell_face` call."""
+    d = s.dim
+    faces = (
+        (basis_index.get(tuple(cell_face(c, d, i) for c in s.components)), (-1) ** i)
+        for i in range(d + 1)
+    )
+    return tuple(sorted(combine((r, c) for r, c in faces if r is not None).items()))
+
+
+def build_pair_complex(n: int, g: int) -> PairComplex:
+    """The library's pair complex with each boundary column summed face by
+    face (`boundary_of_simplex`): the reference for its face-table
+    assembly."""
+    d_max = n + 1
+    bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
+    boundaries: list[tuple[Column, ...]] = [()]
+    for d in range(1, d_max + 1):
+        index = {s.components: i for i, s in enumerate(bases[d - 1])}
+        boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
+    return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
+
+
 def canonical_key(s: ProductSimplex) -> tuple[tuple[int, int], ...]:
     """Sort key of the canonical basis order, componentwise: the basepoint
     first, then generators ascending and, within a generator, jumps
@@ -222,7 +255,7 @@ def fn_basis_coords(
 def context(n: int, g: int) -> tuple[PairComplex, loophom.homology.HomologySummary]:
     """The pair complex of the rank-g wedge at power n and its degree-n
     homology: what `vanishing_sum_check` and `naturality_check` take."""
-    cx = build_pair_complex(n, g)
+    cx = loophom.wedge.build_pair_complex(n, g)
     return cx, loophom.homology.homology(cx, n)
 
 

@@ -10,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loophom import cli
+from loophom.wedge import build_pair_complex, complex_to_json
+from loophom.words import make_alphabet
 
 
 def run(capsys, *argv):
@@ -337,6 +340,74 @@ def test_closed_pipe_exits_2_without_traceback(unbuffered):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == b"error: cannot write standard output: Broken pipe\n"
+
+
+# ---------------------------------------------------------------------------
+# The JSON renderer: json.dumps(..., sort_keys=True, indent=2), byte for byte.
+# ---------------------------------------------------------------------------
+
+# any code point, surrogates included, with the characters JSON escapes or
+# uses as structure drawn often
+JSON_STRINGS = st.text(
+    st.one_of(
+        st.sampled_from('"\\/[]{},: \n\t\x00\x1f\x7fé€😀'),
+        st.characters(exclude_categories=()),
+    )
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**300), max_value=10**300),
+    JSON_STRINGS,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_render_json_is_json_dumps(value):
+    assert cli.render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("n, g", [(4, 3), (5, 2)])
+def test_render_json_is_json_dumps_on_large_exports(n, g):
+    payload = complex_to_json(build_pair_complex(n, g), make_alphabet([], g))
+    assert cli.render_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0, float("nan")], {1, 2}, {"k": {3}}, {1: "one"}, [{"k": {(1, 2): 0}}], b"x"],
+    ids=repr,
+)
+def test_render_json_rejects_what_a_report_never_holds(value):
+    # json.dumps writes floats and turns int and tuple keys into strings;
+    # a report holds none of them, so the renderer refuses them
+    with pytest.raises(TypeError):
+        cli.render_json(value)
+
+
+def test_large_export_is_json_dumps_byte_for_byte(tmp_path, capsys):
+    # 2.5 MB through write_stdout's buffer-sized writes, and the same
+    # complex through --out
+    argv = ["export-complex", "--genus", "3", "--n", "4"]
+    code, out = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    path = tmp_path / "cx.json"
+    code, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hashlib import sha256
 
 import pytest
 
+import oracles
 from loophom.wedge import (
     Cell,
     ProductSimplex,
@@ -16,6 +17,7 @@ from loophom.wedge import (
     cell_face,
     complex_to_json,
     enumerate_basis,
+    face_tables,
     in_Y,
     push_simplex,
     simplex_str,
@@ -48,6 +50,17 @@ def test_cell_face_shifts_jump():
     assert cell_face((1, 2), 3, 3) == (1, 2)
     assert cell_face((1, 1), 3, 0) is None
     assert cell_face((1, 3), 3, 3) is None
+
+
+def test_face_tables_hold_cell_face_of_every_cell():
+    for g in (1, 2, 3):
+        for d in range(0, 8):
+            cells = [None] + [(e, j) for e in range(1, g + 1) for j in range(1, d + 1)]
+            tables = face_tables(g, d)
+            assert len(tables) == d + 1
+            for i, table in enumerate(tables):
+                assert table.keys() == set(cells), (g, d, i)
+                assert all(table[c] == cell_face(c, d, i) for c in cells), (g, d, i)
 
 
 def test_face_frozen_example():
@@ -194,6 +207,13 @@ def test_boundaries_are_stored_as_sorted_nonzero_columns():
                 assert rows == sorted(set(rows)), (n, g, d, column)
                 assert all(0 <= r < cx.rank(d - 1) for r in rows)
                 assert all(isinstance(x, int) and x for _, x in column)
+
+
+@pytest.mark.parametrize(
+    "n, g", [(n, g) for n in range(1, 5) for g in range(1, 4)] + [(5, 2), (2, 4)]
+)
+def test_face_table_assembly_matches_the_per_face_reference(n, g):
+    assert build_pair_complex(n, g) == oracles.build_pair_complex(n, g)
 
 
 # sha256 of json.dumps(complex_to_json(build_pair_complex(n, g)),
