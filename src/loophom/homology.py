@@ -11,9 +11,12 @@ it — deterministic across runs.
 `homology` gives coordinates only at a degree d with no cells above it,
 which is where the loop classes live: the pair complex has no cells above
 its power n, so H_n is the cycle group Z_n, free as it lies in C_n.  A
-chain is a cycle when the complex's own stored boundary sends it to zero.
-One reduction U ∂ V = D of that boundary reads the class: the rows of V^-1
-past the rank of ∂, the class rows, are all the summary keeps of it.
+chain is a cycle when the complex's own stored boundary ∂ sends it to
+zero: `_zero_image` sums that image over the chain's nonzeros and tests
+it once, and `homology_groups` checks ∂_d ∂_(d+1) = 0 with the same
+test, one column of ∂_(d+1) at a time.  One reduction U ∂ V = D reads
+the class: the rows of V^-1 past the rank of ∂, the class rows, are all
+the summary keeps of it, and a class is one sum per class row.
 `_snf` changes a V^-1 row only while it is the pivot row, so when every
 pivot is a unit each class row is a single 1.  It tracks only D and V^-1:
 U and V exist only as identity blocks that `smith_normal_form` adds to
@@ -191,10 +194,16 @@ class ChainComplexLike(Protocol):
     def boundaries(self) -> Sequence[Sequence[Column]]: ...
 
 
-def boundary_of(columns: Sequence[Column], chain: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """The nonzero (row, coefficient) pairs of the boundary of a chain of
-    (cell, coefficient) pairs, for the boundary with these sparse columns."""
-    return combine((r, c * x) for i, c in chain if c for r, x in columns[i])
+def _zero_image(columns: Sequence[Column], chain: Iterable[tuple[int, int]]) -> bool:
+    """Whether the matrix with these sparse columns sends the chain of
+    (cell, coefficient) pairs to zero: the image is summed into one dict
+    by row, zeros kept, and tested once at the end."""
+    image: dict[int, int] = {}
+    for i, c in chain:
+        if c:
+            for r, x in columns[i]:
+                image[r] = image.get(r, 0) + c * x
+    return not any(image.values())
 
 
 @dataclass(frozen=True)
@@ -218,13 +227,20 @@ class HomologySummary:
         """Whether a chain vector z of this degree has zero boundary."""
         if len(z) != len(self._boundary):
             raise ValueError(f"expected a vector of length {len(self._boundary)}")
-        return not boundary_of(self._boundary, enumerate(z))
+        return _zero_image(self._boundary, enumerate(z))
 
     def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of a relative cycle in this degree's homology."""
+        """Coordinates of a relative cycle in this degree's homology: one
+        sum over each class row's nonzeros."""
         if not self.is_cycle(z):
             raise ValueError("vector is not a cycle")
-        return tuple(sum(x * z[c] for c, x in row) for row in self._classes)
+        coords = []
+        for row in self._classes:
+            total = 0
+            for c, x in row:
+                total += x * z[c]
+            coords.append(total)
+        return tuple(coords)
 
 
 def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
@@ -308,12 +324,14 @@ def homology_groups(cx: SparseComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     """(rank, torsion) of the homology at each degree 0..n, from the
     invariant factors of each boundary, computed once: rank H_d is
     dim C_d - r_d - r_(d+1) for boundary ranks r, and the torsion of H_d is
-    the factors of the degree-(d+1) boundary above 1."""
+    the factors of the degree-(d+1) boundary above 1.  First every column
+    of each ∂_(d+1) must have zero image under ∂_d, or the boundaries do
+    not form a chain complex."""
     n = cx.n
     for d in range(1, n + 1):  # each column of the product of d and d + 1
         below = cx.boundaries[d]
         for column in cx.boundaries[d + 1]:
-            if boundary_of(below, column):
+            if not _zero_image(below, column):
                 raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     factors = [[]] + [
         invariant_factors(cx.boundaries[d], cx.rank(d - 1)) for d in range(1, n + 2)

@@ -26,8 +26,9 @@ the positions of s into consecutive runs, each run of constant letter and
 ascending sigma, and the number of ways to place those runs in w is the
 Magnus coefficient of the monomial of run letters.  So the chain vector is
 a fixed integer matrix M_{n,g} times the truncated Magnus expansion, for
-any integer combination of words (inverse letters included), and the
-matrix is built once per (n, g).
+any integer combination of words (inverse letters included).  The
+matrix is built once per (n, g), by columns, one per monomial, so a word
+costs one sum of the columns of its nonzero Magnus coordinates.
 
 `subdivision_vector` keeps the geometric sum itself -- inverse letters
 rewritten by `positivize`, then every piece mapped to its simplex -- as an
@@ -68,8 +69,9 @@ from .words import (
     WordCombo,
     check_rank,
     combine,
-    combo_magnus,
+    expansion,
     is_positive,
+    monomial_index,
     positivize,
 )
 
@@ -154,19 +156,31 @@ def _row(s: ProductSimplex) -> Row:
 
 
 @lru_cache(maxsize=None)
-def _rows(n: int, g: int) -> tuple[Row, ...]:
-    """The rows of M_{n,g}, in the order of the degree-n basis."""
-    return tuple(_row(s) for s in enumerate_basis(n, g, n))
+def _columns(n: int, g: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """M_{n,g} by columns, one per monomial of `monomial_index(n, g)`: the
+    (row, entry) pairs of its nonzeros, rows in the order of the degree-n
+    basis."""
+    position = {m: p for p, m in enumerate(monomial_index(n, g).monomials)}
+    columns: list[list[tuple[int, int]]] = [[] for _ in position]
+    for r, s in enumerate(enumerate_basis(n, g, n)):
+        for m, x in _row(s):
+            columns[position[m]].append((r, x))
+    return tuple(map(tuple, columns))
 
 
 def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
     """Chain vector of the transformation on the degree-n basis of the
     pair complex: M_{n,g} times the degree-n Magnus expansion of the word
-    or integer combination of words.  The empty word expands to 1, which
-    no row reads, so it evaluates to 0."""
+    or integer combination of words, summed column by column over the
+    expansion's nonzero coordinates.  The empty word expands to 1, whose
+    column is empty, so it evaluates to 0."""
     combo = {elt: 1} if isinstance(elt, tuple) else elt
-    expansion = combo_magnus(combo, cx.n, cx.g)
-    return [sum(c * expansion.get(m, 0) for m, c in row) for row in _rows(cx.n, cx.g)]
+    out = [0] * cx.rank(cx.n)
+    for column, c in zip(_columns(cx.n, cx.g), expansion(combo, cx.n, cx.g)):
+        if c:
+            for r, x in column:
+                out[r] += c * x
+    return out
 
 
 def _top_degree(cx: PairComplex, summary: HomologySummary) -> int:

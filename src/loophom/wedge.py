@@ -160,11 +160,17 @@ class PairComplex:
         return tuple(map(tuple, dense))
 
 
+def _cells(g: int, d: int) -> list[Cell]:
+    """The g·d + 1 dimension-d cells of a rank-g wedge."""
+    cells: list[Cell] = [None]
+    cells.extend((e, j) for e in range(1, g + 1) for j in range(1, d + 1))
+    return cells
+
+
 def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
     """For each face index i in [0, d], the map from every dimension-d cell
     of a rank-g wedge to its face i (`cell_face`): g·d + 1 entries each."""
-    cells: list[Cell] = [None]
-    cells.extend((e, j) for e in range(1, g + 1) for j in range(1, d + 1))
+    cells = _cells(g, d)
     return tuple({c: cell_face(c, d, i) for c in cells} for i in range(d + 1))
 
 
@@ -210,13 +216,15 @@ def push_simplex(s: ProductSimplex, gen_map: dict[int, int | None]) -> ProductSi
 
 def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
     """JSON-ready description: bases as component lists, boundaries as
-    sparse (row, col, value) triplets."""
+    sparse (row, col, value) triplets.  Each circle cell's ``[letter,
+    jump]`` list is built once per dimension and shared by every basis
+    component that is that cell."""
     dims = []
     for d in range(cx.d_max + 1):
-        basis_json = [
-            [None if c is None else [alphabet[c[0] - 1], c[1]] for c in s.components]
-            for s in cx.basis(d)
-        ]
+        cell_json = {
+            c: None if c is None else [alphabet[c[0] - 1], c[1]] for c in _cells(cx.g, d)
+        }
+        basis_json = [list(map(cell_json.__getitem__, s.components)) for s in cx.basis(d)]
         # row-major order without a sort: columns come in increasing c,
         # so each row's bucket fills in increasing c
         rows: list[list[list[int]]] = [[] for _ in range(cx.rank(d - 1))]

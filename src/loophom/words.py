@@ -11,15 +11,19 @@ of noncommutative polynomials truncated above total degree n.  Its kernel
 on integer combinations of words is exactly the span of the right-multiples
 ``(word) * (product of n+1 augmentation-ideal factors)``, so the monomials
 of degree <= n give a free basis of the corresponding quotient of the group
-ring.  The evaluation in ``transform.nu_vector`` reads a word only through
-``combo_magnus``: its chain vector is a fixed matrix times these
-coordinates, inverse letters included.
+ring.  ``monomial_index(n, g)`` fixes those monomials as list positions,
+once per (n, g), and ``expansion`` computes a word's coordinates on them
+by updating one int list in place per letter.  The evaluation in
+``transform.nu_vector`` reads a word only through ``expansion``: its chain
+vector is a fixed matrix times these coordinates, inverse letters
+included.  ``magnus`` and ``combo_magnus`` are the same coordinates as a
+dict of the nonzero ones, by monomial; ``tests/oracles.py`` keeps the
+truncated polynomial product as their reference.
 
 Integer combinations of words (``WordCombo``), monomials (``Tensor``),
 boundary faces and shuffle terms are summed into dicts that never store a
 zero, so equal combinations compare equal; ``combine`` is the one
-accumulator that does it (``tensor_mul``, the expansion's inner loop,
-sums in place).
+accumulator that does it.
 
 ``positivize`` rewrites any word as an integer combination of positive
 words with the same expansion, via
@@ -33,8 +37,9 @@ independent witness in the theorem-b suite) assume positive words.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Hashable, Iterable, Mapping, NamedTuple, TypeVar
 
 Word = tuple[tuple[int, int], ...]
 Monomial = tuple[int, ...]
@@ -133,7 +138,7 @@ def check_rank(w: Word, g: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer combinations and truncated noncommutative polynomials.
+# Integer combinations and the truncated Magnus expansion.
 # ---------------------------------------------------------------------------
 
 
@@ -153,37 +158,84 @@ def combine(terms: Iterable[tuple[K, int]]) -> dict[K, int]:
     return out
 
 
-def tensor_one() -> Tensor:
-    return {(): 1}
+class MonomialIndex(NamedTuple):
+    """The monomials of degree <= n in generators 1..g, by degree and then
+    lexicographically, and for each generator i (entry i - 1 of `steps`)
+    the position pairs (m, m X_i) for every m of degree < n, by degree."""
+
+    monomials: tuple[Monomial, ...]
+    steps: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def tensor_mul(a: Tensor, b: Tensor, n: int) -> Tensor:
-    """Product, dropping monomials of degree above n.  The inner loop of
-    every expansion, so it sums in place: `combine` is slower here."""
-    out: Tensor = {}
-    for ma, ca in a.items():
-        room = n - len(ma)
-        if room < 0:
-            continue
-        for mb, cb in b.items():
-            if len(mb) > room:
-                continue
-            m = ma + mb
-            c = out.get(m, 0) + ca * cb
-            if c:
-                out[m] = c
+@lru_cache(maxsize=None)
+def monomial_index(n: int, g: int) -> MonomialIndex:
+    """The fixed coordinates of degree-n expansions in rank g.
+
+    >>> monomial_index(2, 1)
+    MonomialIndex(monomials=((), (1,), (1, 1)), steps=(((0, 1), (1, 2)),))
+    """
+    if n < 0:
+        raise ValueError("truncation degree must be >= 0")
+    monomials = tuple(
+        m for k in range(n + 1) for m in itertools.product(range(1, g + 1), repeat=k)
+    )
+    position = {m: p for p, m in enumerate(monomials)}
+    steps = tuple(
+        tuple((p, position[m + (i,)]) for p, m in enumerate(monomials) if len(m) < n)
+        for i in range(1, g + 1)
+    )
+    return MonomialIndex(monomials, steps)
+
+
+def expansion(combo: Mapping[Word, int], n: int, g: int) -> list[int]:
+    """Degree-n expansion of an integer combination of words, each checked
+    against rank g, as coordinates on `monomial_index(n, g).monomials`.
+
+    Each word starts from its coefficient at the empty monomial and is
+    multiplied on the right letter by letter, in place.  A letter x_i
+    adds v[m] to v[m X_i], higher degrees first so every v[m] read is
+    still the old one; its inverse, (1 + X_i)^-1, solves u (1 + X_i) = v
+    degree by degree, u[m X_i] = v[m X_i] - u[m], lower degrees first.
+
+    >>> expansion({((1, 1),): 1, ((1, -1),): 1}, 2, 1)
+    [2, 0, 1]
+    """
+    monomials, steps = monomial_index(n, g)
+    out = [0] * len(monomials)
+    for w, c in combo.items():
+        check_rank(w, g)
+        v = [0] * len(monomials)
+        v[0] = c
+        for i, e in w:
+            if e == 1:
+                for m, mx in reversed(steps[i - 1]):
+                    v[mx] += v[m]
             else:
-                out.pop(m, None)
+                for m, mx in steps[i - 1]:
+                    v[mx] -= v[m]
+        out = [a + b for a, b in zip(out, v)]
     return out
 
 
-def _letter_tensor(i: int, e: int, n: int) -> Tensor:
-    if e == 1:
-        return {(): 1, (i,): 1} if n >= 1 else {(): 1}
-    if e != -1:
-        raise ValueError(f"letter exponent must be +-1, got {e}")
-    # geometric series for the inverse: sum_j (-X_i)^j, degree <= n
-    return {(i,) * j: (-1) ** j for j in range(n + 1)}
+def _least_rank(words: Iterable[Word]) -> int:
+    """The rank of the largest generator the words use."""
+    g = 0
+    for w in words:
+        for i, _ in w:
+            if i < 1:
+                raise ValueError(f"generator {i} out of range: generators are numbered from 1")
+            g = max(g, i)
+    return g
+
+
+def combo_magnus(combo: Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
+    """Degree-n expansion of an integer combination of words: the nonzero
+    coordinates of `expansion`, by monomial.  Every word is checked against
+    the rank g, or, with none given, against the largest generator used."""
+    if g is None:
+        g = _least_rank(combo)
+    monomials = monomial_index(n, g).monomials
+    return {m: c for m, c in zip(monomials, expansion(combo, n, g)) if c}
 
 
 def magnus(w: Word, n: int, g: int | None = None) -> Tensor:
@@ -192,22 +244,7 @@ def magnus(w: Word, n: int, g: int | None = None) -> Tensor:
     >>> magnus(((1, 1),), 2)
     {(): 1, (1,): 1}
     """
-    if n < 0:
-        raise ValueError("truncation degree must be >= 0")
-    if g is not None:
-        check_rank(w, g)
-    out = tensor_one()
-    for i, e in w:
-        out = tensor_mul(out, _letter_tensor(i, e, n), n)
-    return out
-
-
-def combo_magnus(combo: Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
-    """Degree-n expansion of an integer combination of words; with g given,
-    every word is checked against the rank first."""
-    return combine(
-        (m, c * cm) for w, c in combo.items() for m, cm in magnus(w, n, g).items()
-    )
+    return combo_magnus({w: 1}, n, g)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ ranks, torsion and transforms below the top, and the library's top-degree
 rationals, the reference for the library's integer form;
 `random_simplex_points` draws the library's seeded points as `Fraction`s,
 and `on_common_denominator` puts such a point on integers.
+`reference_magnus` multiplies truncated polynomials letter by letter
+(`tensor_mul`), the reference for the library's in-place expansion.
 `build_pair_complex` sums each boundary column face by face through
 `cell_face` (`boundary_of_simplex`), the reference for the library's
 assembly from per-dimension face tables.  The rest are
@@ -37,7 +39,7 @@ from loophom.homology import ChainComplexLike
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import Cell, Column, PairComplex, ProductSimplex, cell_face, enumerate_basis
-from loophom.words import Monomial, Word, WordCombo, combine, combo_magnus
+from loophom.words import Monomial, Tensor, Word, WordCombo, combine, combo_magnus
 
 
 def as_point(coords: Sequence) -> Point:
@@ -188,6 +190,50 @@ def reduce_word(w: Word) -> Word:
         else:
             stack.append(letter)
     return tuple(stack)
+
+
+# The truncated polynomial product: the reference for `words.expansion`,
+# whose nonzero coordinates `words.magnus` and `words.combo_magnus` return.
+
+
+def tensor_one() -> Tensor:
+    return {(): 1}
+
+
+def tensor_mul(a: Tensor, b: Tensor, n: int) -> Tensor:
+    """Product of truncated noncommutative polynomials, dropping monomials
+    of degree above n."""
+    return combine(
+        (ma + mb, ca * cb)
+        for ma, ca in a.items()
+        for mb, cb in b.items()
+        if len(ma) + len(mb) <= n
+    )
+
+
+def _letter_tensor(i: int, e: int, n: int) -> Tensor:
+    if e == 1:
+        return {(): 1, (i,): 1} if n >= 1 else {(): 1}
+    if e != -1:
+        raise ValueError(f"letter exponent must be +-1, got {e}")
+    # geometric series for the inverse: sum_j (-X_i)^j, degree <= n
+    return {(i,) * j: (-1) ** j for j in range(n + 1)}
+
+
+def reference_magnus(combo: Mapping[Word, int], n: int) -> Tensor:
+    """Degree-n expansion of a combination of words as one truncated
+    product of letter expansions per word.
+
+    >>> reference_magnus({((1, -1),): 1}, 2)
+    {(): 1, (1,): -1, (1, 1): 1}
+    """
+    terms = []
+    for w, c in combo.items():
+        t = tensor_one()
+        for i, e in w:
+            t = tensor_mul(t, _letter_tensor(i, e, n), n)
+        terms.extend((m, c * x) for m, x in t.items())
+    return combine(terms)
 
 
 def identity(n: int) -> Perm:

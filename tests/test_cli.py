@@ -566,3 +566,22 @@ def golden_digest(capsys, monkeypatch, tmp_path, command: str, mode: str) -> str
 @pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
 def test_cli_output_matches_golden_pins(capsys, monkeypatch, tmp_path, command, mode):
     assert golden_digest(capsys, monkeypatch, tmp_path, command, mode) == GOLDEN_PINS[command, mode]
+
+
+# sha256 of `nu --json` standard output with the elapsed milliseconds
+# masked, for words of 14-24 letters, about half of them inverse letters,
+# recorded while the expansion was still a truncated product per letter.
+NU_PINS = {
+    (3, 2, "XyYXxYYxyXyyXY"): "e18d77cd60de515a9b040d0772109aab4da7531fa67a79c88545d2922ec1d41f",
+    (3, 3, "zXyZZxYzyXXzYxzYyZxX"): "d4f61d51da094b6f832374ebd697f7ffb94d67415304317aef986d67bef332b9",
+    (4, 2, "yXXYxyYYXxyXYxXy"): "e6e138c5b29b0214a58ca063358ce3e0e47ac300194fb58c39cc602768c04a11",
+    (4, 3, "xYzXZyyXzZYxzYXyZxZyXYzx"): "a2c56e5e5db4b4ead9094e1fdc007a73b1f137e79ab27e6a2587b96729e1edb4",
+}
+
+
+@pytest.mark.parametrize("n, g, word", sorted(NU_PINS))
+def test_nu_json_matches_pins(capsys, n, g, word):
+    capsys.readouterr()
+    assert cli.main(["nu", "--n", str(n), "--genus", str(g), "--word", word, "--json"]) == 0
+    text = re.sub(r'"ms": \d+', '"ms": 0', capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == NU_PINS[n, g, word]

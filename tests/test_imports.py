@@ -379,9 +379,8 @@ def test_no_library_function_exists_only_for_the_tests():
     assert definitions_only_tests_use(library, users, traced) == []
 
 
-# the accumulators that may drop a zero coefficient by hand: the shared
-# one and the Magnus kernel kept apart for speed
-ZERO_DROPPERS = {"words.combine", "words.tensor_mul"}
+# the one accumulator that may drop a zero coefficient by hand
+ZERO_DROPPERS = {"words.combine"}
 
 
 def _deletes_a_key(node: ast.AST) -> bool:

@@ -14,7 +14,9 @@ from loophom.homology import homology, smith_normal_form
 from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
     BASEPOINT,
+    _columns,
     _path_table,
+    _row,
     naturality_check,
     nu_eval,
     nu_vector,
@@ -30,7 +32,7 @@ from loophom.transform import (
     vanishing_sum_check,
 )
 from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
-from loophom.words import parse_word, positivize
+from loophom.words import magnus, monomial_index, parse_word, positivize
 import oracles
 from oracles import context, nu_basis_matrix, on_common_denominator
 
@@ -139,6 +141,29 @@ def test_nu_vector_rewrites_inverse_letters():
         nu_vector({((1, 1), (2, 2)): 1}, cx)
     with pytest.raises(ValueError, match="out of range"):
         nu_vector(((3, 1),), cx)
+
+
+@pytest.mark.parametrize("n,g", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2)])
+def test_columns_are_the_rows_of_the_matrix(n, g):
+    # M_{n,g} by columns is the matrix whose row for basis cell s is
+    # _row(s); applied to a word it is the row-by-row sum over the word's
+    # Magnus coordinates
+    cx = build_pair_complex(n, g)
+    monomials = monomial_index(n, g).monomials
+    rows = [dict(_row(s)) for s in cx.basis(n)]
+    by_rows = [[row.get(m, 0) for m in monomials] for row in rows]
+    by_columns = [[0] * len(monomials) for _ in rows]
+    for p, column in enumerate(_columns(n, g)):
+        for r, x in column:
+            assert x and by_columns[r][p] == 0
+            by_columns[r][p] = x
+    assert by_columns == by_rows
+    rng = Random(31 * n + g)
+    for _ in range(10):
+        w = tuple((rng.randint(1, g), rng.choice((1, -1))) for _ in range(rng.randint(0, 9)))
+        expansion = magnus(w, n, g)
+        want = [sum(c * expansion.get(m, 0) for m, c in row.items()) for row in rows]
+        assert nu_vector(w, cx) == want
 
 
 def test_subdivision_vector_rejects_exponents_other_than_units():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,17 +11,24 @@ from hypothesis import given, settings, strategies as st
 from loophom.words import (
     combine,
     combo_magnus,
+    expansion,
     is_positive,
     magnus,
     make_alphabet,
+    monomial_index,
     parse_word,
     positive_words,
     positivize,
-    tensor_mul,
-    tensor_one,
     word_str,
 )
-from oracles import fn_basis_coords, monomial_basis, reduce_word
+from oracles import (
+    fn_basis_coords,
+    monomial_basis,
+    reduce_word,
+    reference_magnus,
+    tensor_mul,
+    tensor_one,
+)
 
 words_strategy = st.lists(
     st.tuples(st.integers(1, 3), st.sampled_from([1, -1])),
@@ -145,6 +153,20 @@ def test_magnus_rejects_exponents_other_than_units():
             magnus(((1, 1), (1, e)), 2)
 
 
+@pytest.mark.parametrize("i", [0, -1, -2])
+def test_magnus_rejects_generators_below_one(i):
+    # with no rank given the rank is the largest generator, so a generator
+    # below 1 must be refused by name, not read as a monomial
+    pattern = f"generator {i} out of range: generators are numbered from 1"
+    for w in (((i, 1),), ((1, 1), (i, -1))):
+        with pytest.raises(ValueError, match=pattern):
+            magnus(w, 2)
+        with pytest.raises(ValueError, match=pattern):
+            combo_magnus({((1, 1),): 1, w: -1}, 2)
+    with pytest.raises(ValueError, match=f"generator {i} out of range for rank 2"):
+        magnus(((i, 1),), 2, g=2)
+
+
 def test_magnus_degree_zero():
     assert magnus(parse_word("xXyy"), 0) == {(): 1}
 
@@ -165,6 +187,98 @@ def test_magnus_inverse_inverts():
         w = parse_word("xY", "xy")
         winv = tuple((i, -e) for i, e in reversed(w))
         assert tensor_mul(magnus(w, n), magnus(winv, n), n) == tensor_one()
+
+
+# ---------------------------------------------------------------------------
+# The in-place expansion against the truncated product.
+# ---------------------------------------------------------------------------
+
+
+def random_word(rng: Random, g: int, length: int, inverse_share: float) -> tuple:
+    return tuple(
+        (rng.randint(1, g), -1 if rng.random() < inverse_share else 1) for _ in range(length)
+    )
+
+
+def test_monomial_index_order_and_steps():
+    for n in range(0, 5):
+        for g in (1, 2, 3):
+            monomials, steps = monomial_index(n, g)
+            assert list(monomials) == monomial_basis(n, g)
+            assert len(steps) == g
+            for i, pairs in enumerate(steps, start=1):
+                assert [monomials[m] + (i,) for m, _ in pairs] == [
+                    monomials[mx] for _, mx in pairs
+                ]
+                assert [monomials[m] for m, _ in pairs] == [m for m in monomials if len(m) < n]
+
+
+def test_expansion_matches_the_product_on_seeded_words():
+    rng = Random(20261019)
+    for n in range(0, 6):
+        for g in (1, 2, 3):
+            for _ in range(12):
+                w = random_word(rng, g, rng.randint(0, 10), rng.choice((0.0, 0.5, 1.0)))
+                want = reference_magnus({w: 1}, n)
+                assert magnus(w, n, g) == want
+                assert magnus(w, n) == want  # the rank the word needs
+                coords = expansion({w: 1}, n, g)
+                assert coords == [want.get(m, 0) for m in monomial_basis(n, g)]
+
+
+def test_expansion_of_empty_words_and_combinations():
+    for n in range(0, 4):
+        for g in (None, 1, 3):
+            assert magnus((), n, g) == {(): 1}
+            assert combo_magnus({}, n, g) == {}
+            assert combo_magnus({(): 3, ((1, 1), (1, -1)): -3}, n, g) == {}
+    assert expansion({}, 2, 2) == [0] * 7
+    assert expansion({(): -2}, 2, 2) == [-2] + [0] * 6
+
+
+combos_strategy = st.dictionaries(words_strategy, st.integers(-3, 3), max_size=4)
+
+
+@st.composite
+def ranked_combos(draw):
+    """(combination, rank) with every generator within the rank; rank None
+    leaves it to the largest generator used."""
+    g = draw(st.sampled_from([None, 1, 2, 3]))
+    letters = st.tuples(st.integers(1, g or 3), st.sampled_from([1, -1]))
+    words = st.lists(letters, max_size=8).map(tuple)
+    return draw(st.dictionaries(words, st.integers(-3, 3), max_size=4)), g
+
+
+@settings(deadline=None)
+@given(ranked_combos(), st.integers(0, 5))
+def test_combo_expansion_matches_the_product(case, n):
+    combo, g = case
+    assert combo_magnus(combo, n, g) == reference_magnus(combo, n)
+
+
+@settings(deadline=None)
+@given(combos_strategy, st.integers(0, 4))
+def test_combo_expansion_cancels_free_reductions(combo, n):
+    # each word against its free reduction: the combination expands to 0
+    cancelling = combine(
+        itertools.chain(combo.items(), ((reduce_word(w), -c) for w, c in combo.items()))
+    )
+    assert combo_magnus(cancelling, n) == {}
+    assert expansion(cancelling, n, 3) == [0] * len(monomial_index(n, 3).monomials)
+
+
+def test_expansion_rejects_bad_exponents_and_ranks():
+    for e in (2, 0, -2):
+        bad = ((1, 1), (2, e))
+        for g in (None, 2):
+            with pytest.raises(ValueError, match=f"letter exponent must be \\+-1, got {e}"):
+                combo_magnus({((1, -1),): 1, bad: 1}, 3, g)
+        with pytest.raises(ValueError, match=f"letter exponent must be \\+-1, got {e}"):
+            expansion({bad: 0}, 3, 2)  # a zero coefficient is still read
+    with pytest.raises(ValueError, match="generator 3 out of range for rank 2"):
+        expansion({((3, 1),): 1}, 2, 2)
+    with pytest.raises(ValueError, match="truncation degree must be >= 0"):
+        expansion({(): 1}, -1, 2)
 
 
 # ---------------------------------------------------------------------------
