@@ -12,8 +12,8 @@ common denominator ``den`` and a tuple ``nums`` of integer numerator rows,
 gcd(den, every numerator) = 1.  That form is canonical: two maps are equal,
 and hash alike, exactly when their vertex images are equal.  Every vertex of
 a degree-k subdivision piece has denominator k, so composing, slicing and
-comparing maps is integer arithmetic; ``vertices`` gives the images as
-``fractions.Fraction`` tuples at the API edge.
+comparing maps is integer arithmetic.  `_from_numerators` is the one way
+to build a map, so every map is stored in that form.
 
 Conventions that differ from the most common ones and are load-bearing:
 
@@ -22,9 +22,6 @@ Conventions that differ from the most common ones and are load-bearing:
   coordinate, reading ``t_0 = 0`` and ``t_n = 1`` at the ends;
 * the degree-k subdivision piece for a pair ``(v, sigma)`` is
   ``x |-> (v + sigma* x) / k`` where ``(sigma* x)_p = x_{sigma(p)}``.
-
-Coordinates are exact: a map accepts integer and ``Fraction`` vertex
-coordinates and rejects floats and anything else that is not rational.
 """
 
 from __future__ import annotations
@@ -32,8 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from numbers import Rational
+from math import gcd
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -64,26 +60,17 @@ def _corner(n: int, i: int, scale: int = 1) -> tuple[int, ...]:
     return (0,) * (n - i) + (scale,) * i
 
 
-def _fill(m: AffineSimplexMap, codomain_dim: int, den: int, nums: Rows) -> None:
-    """Set the fields of a new map, past its frozen ``__setattr__``."""
-    setattr_ = object.__setattr__
-    setattr_(m, "codomain_dim", codomain_dim)
-    setattr_(m, "den", den)
-    setattr_(m, "nums", nums)
-
-
-@dataclass(frozen=True, init=False, repr=False, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class AffineSimplexMap:
     """An affine map D^q -> R^p, canonically ``(codomain_dim, den, nums)``.
 
-    ``AffineSimplexMap(p, vertices)`` takes the vertex images: ``vertices[i]``
-    is the image of ``E(q, i)``, and the domain dimension is one less than
-    their number.
+    ``nums[i] / den`` is the image of ``E(q, i)``, and the domain dimension
+    is one less than the number of rows.  Maps come from `_from_numerators`.
 
-    >>> m = AffineSimplexMap(2, ((0, 0), (Fraction(1, 2), Fraction(1, 3))))
-    >>> m.den, m.nums
-    (6, ((0, 0), (3, 2)))
-    >>> m == AffineSimplexMap(2, ((0, 0), (Fraction(2, 4), Fraction(1, 3))))
+    >>> m = _from_numerators(2, 12, ((0, 0), (6, 4)))
+    >>> m
+    AffineSimplexMap(codomain_dim=2, den=6, nums=((0, 0), (3, 2)))
+    >>> m == _from_numerators(2, 6, ((0, 0), (3, 2)))
     True
     """
 
@@ -91,35 +78,9 @@ class AffineSimplexMap:
     den: int
     nums: Rows
 
-    def __init__(self, codomain_dim: int, vertices: Sequence[Sequence]):
-        if not vertices:
-            raise ValueError("an affine map needs at least one vertex image")
-        for v in vertices:
-            if len(v) != codomain_dim:
-                raise ValueError(f"vertex image {v} does not live in R^{codomain_dim}")
-            for c in v:
-                if not isinstance(c, Rational):
-                    raise ValueError(
-                        f"coordinate {c!r} of vertex image {v} is not an integer or a Fraction"
-                    )
-        # the least common denominator of reduced fractions leaves no common
-        # factor with the numerators, so the rows are already canonical
-        den = lcm(*(c.denominator for v in vertices for c in v))
-        nums = tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices)
-        _fill(self, codomain_dim, den, nums)
-
-    def __repr__(self) -> str:
-        return f"AffineSimplexMap(codomain_dim={self.codomain_dim!r}, vertices={self.vertices!r})"
-
     @property
     def domain_dim(self) -> int:
         return len(self.nums) - 1
-
-    @property
-    def vertices(self) -> tuple[Point, ...]:
-        """The vertex images as exact rationals."""
-        den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.nums)
 
 
 def _from_numerators(codomain_dim: int, den: int, nums: Rows) -> AffineSimplexMap:
@@ -136,7 +97,10 @@ def _from_numerators(codomain_dim: int, den: int, nums: Rows) -> AffineSimplexMa
         den //= common
         nums = tuple(tuple(x // common for x in row) for row in nums)
     m = object.__new__(AffineSimplexMap)
-    _fill(m, codomain_dim, den, nums)
+    # past the frozen __setattr__
+    object.__setattr__(m, "codomain_dim", codomain_dim)
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "nums", nums)
     return m
 
 
@@ -172,8 +136,8 @@ def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
 def face_map(n: int, i: int) -> AffineSimplexMap:
     """The i-th face D^{n-1} -> D^n: the vertex list omits E(n, n-i).
 
-    >>> face_map(2, 1).vertices
-    ((Fraction(0, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(1, 1)))
+    >>> face_map(2, 1).nums
+    ((0, 0), (1, 1))
     """
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
@@ -189,8 +153,9 @@ def subdivision_piece(v: tuple[int, ...], sigma: Perm, k: int) -> AffineSimplexM
     shuffle of its level sets, the map sends D^n into D^n; the k^n such
     pieces tile D^n.
 
-    >>> subdivision_piece((1,), (1,), 2).vertices
-    ((Fraction(1, 2),), (Fraction(1, 1),))
+    >>> m = subdivision_piece((1,), (1,), 2)
+    >>> m.den, m.nums
+    (2, ((1,), (2,)))
     """
     n = len(v)
     if len(sigma) != n:

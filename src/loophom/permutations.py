@@ -250,7 +250,7 @@ def enumerate_shuffles(parts: Sequence[int]) -> list[Perm]:
             for tail in walk(sizes[1:], rest):
                 yield chosen + tail
 
-    return sorted(walk(tuple(parts), tuple(range(1, n + 1))))
+    return list(walk(tuple(parts), tuple(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,15 @@ def simplex_str(s: ProductSimplex, alphabet: str = LETTER_POOL) -> str:
     return "(" + ",".join(parts) + ")"
 
 
+def _cells(g: int, d: int) -> list[Cell]:
+    """The g·d + 1 dimension-d cells of a rank-g wedge, in canonical order:
+    the basepoint, then generators ascending and, within a generator, jumps
+    descending."""
+    cells: list[Cell] = [None]
+    cells.extend((e, j) for e in range(1, g + 1) for j in range(d, 0, -1))
+    return cells
+
+
 def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
     """Basis of the relative chain group: the nondegenerate d-simplices
     outside Y, in canonical order.
@@ -107,8 +116,7 @@ def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
     its cells in canonical order, so the walk emits them sorted."""
     if d > n:
         return []  # n components supply at most n jumps, too few to cover
-    cells: list[Cell] = [None]
-    cells.extend((e, j) for e in range(1, g + 1) for j in range(d, 0, -1))
+    cells = _cells(g, d)
     out: list[ProductSimplex] = []
 
     def walk(acc: tuple[Cell, ...], missing: frozenset[int]) -> None:
@@ -134,16 +142,21 @@ class PairComplex:
 
     ``boundaries[d]`` has one entry per dimension-d basis cell: the sorted
     ``(row, coefficient)`` nonzeros of its boundary, rows indexed by the
-    dimension d-1 basis.  ``boundaries[0]`` is empty."""
+    dimension d-1 basis.  ``boundaries[0]`` is empty.  Both run up to
+    dimension ``d_max``."""
 
     n: int
     g: int
-    d_max: int
     bases: tuple[tuple[ProductSimplex, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
+    @property
+    def d_max(self) -> int:
+        """The top dimension stored: n + 1."""
+        return self.n + 1
+
     def basis(self, d: int) -> tuple[ProductSimplex, ...]:
-        return self.bases[d] if 0 <= d <= self.d_max else ()
+        return self.bases[d] if 0 <= d < len(self.bases) else ()
 
     def rank(self, d: int) -> int:
         return len(self.basis(d))
@@ -152,19 +165,12 @@ class PairComplex:
         """Dense matrix of the boundary leaving dimension d, built from the
         stored columns; rows indexed by the dimension d-1 basis.
         Zero-shaped when out of range."""
-        columns = self.boundaries[d] if 1 <= d <= self.d_max else ()
+        columns = self.boundaries[d] if 1 <= d < len(self.boundaries) else ()
         dense = [[0] * len(columns) for _ in range(self.rank(d - 1))]
         for c, column in enumerate(columns):
             for r, x in column:
                 dense[r][c] = x
         return tuple(map(tuple, dense))
-
-
-def _cells(g: int, d: int) -> list[Cell]:
-    """The g·d + 1 dimension-d cells of a rank-g wedge."""
-    cells: list[Cell] = [None]
-    cells.extend((e, j) for e in range(1, g + 1) for j in range(1, d + 1))
-    return cells
 
 
 def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
@@ -196,7 +202,7 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
             column = combine([(r, sign) for r, sign in terms if r is not None])
             columns.append(tuple(sorted(column.items())))
         boundaries.append(tuple(columns))
-    return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
+    return PairComplex(n, g, tuple(bases), tuple(boundaries))
 
 
 def push_cell(cell: Cell, gen_map: dict[int, int | None]) -> Cell:

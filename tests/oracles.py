@@ -11,6 +11,10 @@ ranks, torsion and transforms below the top, and the library's top-degree
 rationals, the reference for the library's integer form;
 `random_simplex_points` draws the library's seeded points as `Fraction`s,
 and `on_common_denominator` puts such a point on integers.
+`affine_map` and `vertices` are the exact-rational face of an affine map,
+which the library stores and builds only in integers: a map from
+`Fraction` vertex images (rejecting anything inexact), and a map's vertex
+images as `Fraction`s.
 `reference_magnus` multiplies truncated polynomials letter by letter
 (`tensor_mul`), the reference for the library's in-place expansion.
 `build_pair_complex` sums each boundary column face by face through
@@ -28,12 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, lcm
+from numbers import Rational
 from random import Random
 from typing import Mapping, Sequence
 
 import loophom.homology
 import loophom.wedge
-from loophom.affine import AffineSimplexMap, Point
+from loophom.affine import AffineSimplexMap, Point, _from_numerators
 from loophom.chains import FormalChain
 from loophom.homology import ChainComplexLike
 from loophom.permutations import Perm, is_shuffle, level_sizes
@@ -45,6 +50,29 @@ from loophom.words import Monomial, Tensor, Word, WordCombo, combine, combo_magn
 def as_point(coords: Sequence) -> Point:
     """Coerce a coordinate sequence to an exact-rational point."""
     return tuple(Fraction(c) for c in coords)
+
+
+def affine_map(codomain_dim: int, vertices: Sequence[Sequence]) -> AffineSimplexMap:
+    """The map D^q -> R^p with exact vertex images: ``vertices[i]``, of
+    integers and Fractions, is the image of E(q, i).  Floats and anything
+    else that is not rational are rejected, so a reference never goes
+    inexact."""
+    for v in vertices:
+        if len(v) != codomain_dim:
+            raise ValueError(f"vertex image {v} does not live in R^{codomain_dim}")
+        for c in v:
+            if not isinstance(c, Rational):
+                raise ValueError(
+                    f"coordinate {c!r} of vertex image {v} is not an integer or a Fraction"
+                )
+    den = lcm(*(c.denominator for v in vertices for c in v))
+    nums = tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices)
+    return _from_numerators(codomain_dim, den, nums)
+
+
+def vertices(m: AffineSimplexMap) -> tuple[Point, ...]:
+    """The vertex images of m as exact rationals."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.nums)
 
 
 def in_simplex(x: Sequence[Fraction]) -> bool:
@@ -63,7 +91,7 @@ def is_simplex_valued(m: AffineSimplexMap) -> bool:
     Affine maps preserve convex hulls, so this already makes the whole
     image land in D^p.
     """
-    return all(in_simplex(v) for v in m.vertices)
+    return all(in_simplex(v) for v in vertices(m))
 
 
 def apply(m: AffineSimplexMap, x: Sequence) -> Point:
@@ -75,7 +103,7 @@ def apply(m: AffineSimplexMap, x: Sequence) -> Point:
     q = m.domain_dim
     if len(x) != q:
         raise ValueError(f"expected a point of D^{q}, got {len(x)} coordinates")
-    verts = m.vertices
+    verts = vertices(m)
     out = list(verts[0])
     for j, t in enumerate(x, start=1):
         hi, lo = verts[q - j + 1], verts[q - j]
@@ -86,7 +114,7 @@ def apply(m: AffineSimplexMap, x: Sequence) -> Point:
 
 def compose_pointwise(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
     """g o f, by evaluating g at each of f's vertex images."""
-    return AffineSimplexMap(g.codomain_dim, tuple(apply(g, v) for v in f.vertices))
+    return affine_map(g.codomain_dim, tuple(apply(g, v) for v in vertices(f)))
 
 
 def piece_pointwise(v: Sequence[int], sigma: Perm, k: int) -> AffineSimplexMap:
@@ -97,7 +125,7 @@ def piece_pointwise(v: Sequence[int], sigma: Perm, k: int) -> AffineSimplexMap:
     for i in range(n + 1):
         corner = (Fraction(0),) * (n - i) + (Fraction(1),) * i
         verts.append(tuple((v[p] + corner[sigma[p] - 1]) / k for p in range(n)))
-    return AffineSimplexMap(n, tuple(verts))
+    return affine_map(n, tuple(verts))
 
 
 def pointwise_face(n: int, i: int, x: Sequence) -> Point:
@@ -120,7 +148,7 @@ def constant_map(codomain_dim: int, point: Sequence, domain_dim: int = 0) -> Aff
     p = as_point(point)
     if len(p) != codomain_dim:
         raise ValueError("point does not live in the stated codomain")
-    return AffineSimplexMap(codomain_dim, (p,) * (domain_dim + 1))
+    return affine_map(codomain_dim, (p,) * (domain_dim + 1))
 
 
 def is_ens(v: Sequence[int], sigma: Perm, k: int) -> bool:
@@ -166,7 +194,7 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
     for d in range(1, d_max + 1):
         index = {s.components: i for i, s in enumerate(bases[d - 1])}
         boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
-    return PairComplex(n, g, d_max, tuple(bases), tuple(boundaries))
+    return PairComplex(n, g, tuple(bases), tuple(boundaries))
 
 
 def canonical_key(s: ProductSimplex) -> tuple[tuple[int, int], ...]:

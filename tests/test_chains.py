@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loophom.affine import (
-    AffineSimplexMap,
     f_map,
     identity_map,
     subdivision_piece,
@@ -29,7 +28,7 @@ from loophom.chains import (
     zero_chain,
 )
 from loophom.permutations import enumerate_ens, invol, point_sign
-from oracles import augmentation, constant_map
+from oracles import affine_map, augmentation, constant_map, vertices
 
 F = Fraction
 
@@ -102,8 +101,8 @@ def test_div_arity_one_is_identity():
 
 
 def test_div_1_2_frozen():
-    lower = AffineSimplexMap(1, ((0,), (F(1, 2),)))
-    upper = AffineSimplexMap(1, ((F(1, 2),), (1,)))
+    lower = affine_map(1, ((0,), (F(1, 2),)))
+    upper = affine_map(1, ((F(1, 2),), (1,)))
     assert div_chain(1, 2) == chain_of(lower) + chain_of(upper)
 
 
@@ -161,7 +160,7 @@ def test_point_sign_matches_f_map_sign():
 def test_cone_frozen_example():
     x = chain_of(constant_map(1, (0,)))
     coned = cone_homotopy(x, apex_index=1)
-    assert coned == chain_of(AffineSimplexMap(1, ((0,), (1,))))
+    assert coned == chain_of(affine_map(1, ((0,), (1,))))
     boundary_of_cone = chain_compose(coned, boundary_chain(1))
     assert boundary_of_cone == x - chain_of(constant_map(1, (1,)))
 
@@ -174,7 +173,7 @@ def reference_cone(x: FormalChain, apex_index: int) -> dict:
     """cone_homotopy's terms, built from Fraction vertex lists."""
     apex = vertex_E(x.codomain_dim, apex_index)
     return {
-        AffineSimplexMap(x.codomain_dim, m.vertices + (apex,)): c for m, c in x.terms.items()
+        affine_map(x.codomain_dim, vertices(m) + (apex,)): c for m, c in x.terms.items()
     }
 
 
@@ -183,7 +182,7 @@ def random_chain(rng: random.Random, q: int, p: int) -> FormalChain:
         return F(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
 
     terms = [
-        (AffineSimplexMap(p, tuple(tuple(coordinate() for _ in range(p)) for _ in range(q + 1))),
+        (affine_map(p, tuple(tuple(coordinate() for _ in range(p)) for _ in range(q + 1))),
          rng.randint(-3, 3))
         for _ in range(rng.randint(0, 5))
     ]
@@ -215,7 +214,7 @@ def test_cone_rejects_apex_out_of_range():
 def e_vertex_maps(q: int, p: int):
     vs = [vertex_E(p, i) for i in range(p + 1)]
     for images in itertools.product(vs, repeat=q + 1):
-        yield AffineSimplexMap(p, images)
+        yield affine_map(p, images)
 
 
 def test_cone_contraction_identity_exhaustive():

@@ -1,8 +1,8 @@
 """Every import in the package, the tests and the scripts is used, every
-function in the package has a user outside the tests, and only the
-package's accumulators drop a zero coefficient themselves: AST scans of
-the names each file binds against the names it reads, and of the
-functions that delete dict keys."""
+function and hand-written constructor in the package has a user outside
+the tests, and only the package's accumulators drop a zero coefficient
+themselves: AST scans of the names each file binds against the names it
+reads, and of the functions that delete dict keys."""
 
 from __future__ import annotations
 
@@ -169,6 +169,7 @@ class Reads:
     names: set[str] = field(default_factory=set)  # names and imported names
     attrs: set[str] = field(default_factory=set)  # attributes of receivers of unknown class
     members: set[tuple[str, str]] = field(default_factory=set)  # (class, attribute)
+    calls: set[str] = field(default_factory=set)  # names called: ``C(...)``, ``m.C(...)``
 
 
 def _own_nodes(scope: ast.AST):
@@ -235,6 +236,8 @@ def _scan(
     if not isinstance(scope, ast.ClassDef):
         env = {**env, **_bindings(scope, nodes, lib, owner)}
     for node in nodes:
+        if isinstance(node, ast.Call):
+            out.calls.add(_named(node.func))
         if isinstance(node, ast.Name):
             if own != (None, node.id):
                 out.names.add(node.id)
@@ -267,7 +270,8 @@ def definitions_only_tests_use(
 ) -> list[str]:
     """Module-level functions and non-dunder methods and properties of the
     library modules that no library module, other user source or traced
-    name refers to -- whatever the tests do with them.
+    name refers to -- whatever the tests do with them -- and the
+    hand-written ``__init__`` of each class that none of them calls.
 
     A function is matched by its name, without its module.  A member is
     matched by class: reading ``x.m`` uses ``C.m`` when x is known to hold
@@ -292,9 +296,13 @@ def definitions_only_tests_use(
                     f"{module}.{node.name}.{item.name}"
                     for item in node.body
                     if _is_def(item)
-                    and not (item.name.startswith("__") and item.name.endswith("__"))
-                    and item.name not in reads.attrs
-                    and (node.name, item.name) not in reads.members
+                    and (
+                        node.name not in reads.calls
+                        if item.name == "__init__"
+                        else not (item.name.startswith("__") and item.name.endswith("__"))
+                        and item.name not in reads.attrs
+                        and (node.name, item.name) not in reads.members
+                    )
                 )
     return sorted(q for q in unread if q not in traced)
 
@@ -330,6 +338,41 @@ def test_scanner_flags_definitions_only_tests_use():
         "m.C.traced",
         "m.recursive",
         "m.used",
+    ]
+
+
+def test_scanner_flags_constructors_nobody_calls():
+    # a hand-written __init__ counts as used only when the class is called;
+    # naming the class (in an annotation or to object.__new__) is not a call
+    library = {
+        "m": (
+            "from dataclasses import dataclass\n"
+            "class Built:\n"
+            "    def __init__(self, x):\n"
+            "        self.x = x\n"
+            "class Named:\n"
+            "    def __init__(self, x):\n"
+            "        self.x = x\n"
+            "class Scripted:\n"
+            "    def __init__(self, x):\n"
+            "        self.x = x\n"
+            "@dataclass\n"
+            "class Generated:\n"
+            "    x: int\n"
+            "def make(x) -> Built:\n"
+            "    return Built(x)\n"
+            "def bare(x) -> Named:\n"
+            "    m = object.__new__(Named)\n"
+            "    return m\n"
+        ),
+    }
+    users = ["import m\nprint(m.make(1), m.bare(2), m.Scripted(3))\n"]
+    assert definitions_only_tests_use(library, users, set()) == ["m.Named.__init__"]
+    assert definitions_only_tests_use(library, [], set()) == [
+        "m.Named.__init__",
+        "m.Scripted.__init__",
+        "m.bare",
+        "m.make",
     ]
 
 
