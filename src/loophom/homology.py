@@ -22,14 +22,17 @@ pivot is a unit each class row is a single 1.  It tracks only D and V^-1:
 U and V exist only as identity blocks that `smith_normal_form` adds to
 its input and the operations carry along.
 
-Boundaries are mostly zeros and units, so `_snf` keeps each row of D and
-V^-1 as a dict of its nonzeros, summed through `words.combine`, and makes
-exactly the dense reduction's steps (`tests/oracles.py` keeps that one):
-an index from each column to the rows with an entry there names the rows
-an operation touches, and a heap holds every row position that may hold
-a unit.  1 is the least |entry|, so the first row in the heap with one
-gives the pivot; only a matrix with no unit left is scanned for its least
-entry, and only a non-unit pivot needs the divisibility repair.
+Boundaries are mostly zeros and units, and no dense matrix is built:
+`homology` reads only the chain ranks and the stored sparse columns of ∂,
+which `wedge.by_rows` buckets into the rows `_snf` starts from.  `_snf`
+keeps each row of D and V^-1 as a dict of its nonzeros, summed through
+`words.combine`, and makes exactly the dense reduction's steps
+(`tests/oracles.py` keeps that one): an index from each column to the
+rows with an entry there names the rows an operation touches, and a heap
+holds every row position that may hold a unit.  1 is the least |entry|,
+so the first row in the heap with one gives the pivot; only a matrix with
+no unit left is scanned for its least entry, and only a non-unit pivot
+needs the divisibility repair.
 
 Ranks and torsion in every degree need no coordinates.  `homology_groups`
 reads them from the invariant factors of each boundary, which
@@ -46,7 +49,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
-from .wedge import Column
+from .wedge import Column, by_rows
 from .words import combine
 
 
@@ -183,12 +186,12 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
 
 
 class ChainComplexLike(Protocol):
-    """What `homology` reads of a complex: the chain ranks at d - 1, d and
-    d + 1, and the boundary leaving degree d, dense and as sparse columns."""
+    """What `homology` and `homology_groups` read of a `wedge.PairComplex`:
+    the power n, the chain ranks and the boundaries as sparse columns."""
+
+    n: int
 
     def rank(self, d: int) -> int: ...
-
-    def boundary_matrix(self, d: int) -> Sequence[Sequence[int]]: ...
 
     @property
     def boundaries(self) -> Sequence[Sequence[Column]]: ...
@@ -252,11 +255,10 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     nd = cx.rank(d)
     below = cx.rank(d - 1) if d >= 1 else 0
     # below degree 1 nothing constrains the cycles; a degree without cells has no columns
-    md = cx.boundary_matrix(d) if d >= 1 else []
     columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
-    if len(md) != below or any(len(row) != nd for row in md) or len(columns) != nd:
+    if len(columns) != nd or any(not 0 <= r < below for column in columns for r, _ in column):
         raise ValueError("boundary matrix at d has the wrong shape")
-    dd, vinv = _snf([((c, x) for c, x in enumerate(row) if x) for row in md], below, nd)
+    dd, vinv = _snf(by_rows(columns, below), below, nd)
     rank = nd - sum(1 for i in range(min(below, nd)) if i in dd[i])
     return HomologySummary(
         degree=d,
@@ -308,19 +310,7 @@ def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
     return factors
 
 
-class SparseComplexLike(Protocol):
-    """What `homology_groups` reads of a `wedge.PairComplex`: the power n,
-    the chain ranks and the sparse boundaries up to degree n + 1."""
-
-    n: int
-
-    def rank(self, d: int) -> int: ...
-
-    @property
-    def boundaries(self) -> Sequence[Sequence[Column]]: ...
-
-
-def homology_groups(cx: SparseComplexLike) -> list[tuple[int, tuple[int, ...]]]:
+def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     """(rank, torsion) of the homology at each degree 0..n, from the
     invariant factors of each boundary, computed once: rank H_d is
     dim C_d - r_d - r_(d+1) for boundary ranks r, and the torsion of H_d is

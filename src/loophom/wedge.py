@@ -20,7 +20,9 @@ ascending and, within a generator, jumps descending.
 
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
-nonzeros per basis cell.  The dense matrix is built only when asked for.
+nonzeros per basis cell.  No dense matrix is ever built: `by_rows` buckets
+the columns by row wherever a row-major view is read (the Smith reduction
+in `homology`, the export's triplets).
 A face of a product simplex is taken componentwise, and a circle cell has
 few faces: `face_tables` lists face i of each of the g·d + 1 cells of
 dimension d once, so that assembling a boundary is table lookups rather
@@ -31,7 +33,7 @@ precomputed coface lookups of Bauer's Ripser).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .words import LETTER_POOL, combine
 
@@ -136,6 +138,17 @@ def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
     return out
 
 
+def by_rows(columns: Sequence[Column], nrows: int) -> list[list[tuple[int, int]]]:
+    """The rows of the nrows-row matrix with these sparse columns: each row's
+    ``(column, entry)`` nonzeros, in column order since the columns are
+    read in order.  Every row index must lie in [0, nrows)."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
+    for c, column in enumerate(columns):
+        for r, x in column:
+            rows[r].append((c, x))
+    return rows
+
+
 @dataclass(frozen=True)
 class PairComplex:
     """Relative chain complex data: per-dimension bases and boundaries.
@@ -161,16 +174,14 @@ class PairComplex:
     def rank(self, d: int) -> int:
         return len(self.basis(d))
 
-    def boundary_matrix(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """Dense matrix of the boundary leaving dimension d, built from the
-        stored columns; rows indexed by the dimension d-1 basis.
-        Zero-shaped when out of range."""
+    def boundary_matrix(self, d: int) -> list[list[tuple[int, int]]]:
+        """The boundary leaving dimension d by rows, `by_rows` of its stored
+        columns: one list per dimension d-1 basis cell of its ``(column,
+        coefficient)`` nonzeros, all empty when d is out of range.  It
+        keeps the name ``boundary_matrix`` because the benchmark's tracer
+        (``perfbench/tracing.py``) counts boundary nonzeros through it."""
         columns = self.boundaries[d] if 1 <= d < len(self.boundaries) else ()
-        dense = [[0] * len(columns) for _ in range(self.rank(d - 1))]
-        for c, column in enumerate(columns):
-            for r, x in column:
-                dense[r][c] = x
-        return tuple(map(tuple, dense))
+        return by_rows(columns, self.rank(d - 1))
 
 
 def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
@@ -222,7 +233,8 @@ def push_simplex(s: ProductSimplex, gen_map: dict[int, int | None]) -> ProductSi
 
 def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
     """JSON-ready description: bases as component lists, boundaries as
-    sparse (row, col, value) triplets.  Each circle cell's ``[letter,
+    sparse (row, col, value) triplets in row-major order, read off the row
+    view `PairComplex.boundary_matrix`.  Each circle cell's ``[letter,
     jump]`` list is built once per dimension and shared by every basis
     component that is that cell."""
     dims = []
@@ -231,12 +243,7 @@ def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
             c: None if c is None else [alphabet[c[0] - 1], c[1]] for c in _cells(cx.g, d)
         }
         basis_json = [list(map(cell_json.__getitem__, s.components)) for s in cx.basis(d)]
-        # row-major order without a sort: columns come in increasing c,
-        # so each row's bucket fills in increasing c
-        rows: list[list[list[int]]] = [[] for _ in range(cx.rank(d - 1))]
-        for c, column in enumerate(cx.boundaries[d]):
-            for r, x in column:
-                rows[r].append([r, c, x])
-        triplets = [t for row in rows for t in row]
+        rows = cx.boundary_matrix(d)
+        triplets = [[r, c, x] for r, row in enumerate(rows) for c, x in row]
         dims.append({"d": d, "basis": basis_json, "boundary": triplets})
     return {"n": cx.n, "g": cx.g, "dims": dims}

@@ -19,9 +19,11 @@ images as `Fraction`s.
 (`tensor_mul`), the reference for the library's in-place expansion.
 `build_pair_complex` sums each boundary column face by face through
 `cell_face` (`boundary_of_simplex`), the reference for the library's
-assembly from per-dimension face tables.  The rest are
-conveniences built on the library -- coordinates, the rank-1 evaluation
-matrix, a cached top-degree context.  None of them is needed to compute
+assembly from per-dimension face tables.  `dense_boundary` writes a
+boundary out as the dense matrix that the library never builds, and
+`DenseView` shows a pair complex to the reference `homology` that way.
+The rest are conveniences built on the library -- coordinates, the rank-1
+evaluation matrix, a cached top-degree context.  None of them is needed to compute
 anything.
 """
 
@@ -34,13 +36,12 @@ from functools import lru_cache
 from math import ceil, comb, lcm
 from numbers import Rational
 from random import Random
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import loophom.homology
 import loophom.wedge
 from loophom.affine import AffineSimplexMap, Point, _from_numerators
 from loophom.chains import FormalChain
-from loophom.homology import ChainComplexLike
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import Cell, Column, PairComplex, ProductSimplex, cell_face, enumerate_basis
@@ -195,6 +196,18 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
         index = {s.components: i for i, s in enumerate(bases[d - 1])}
         boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
     return PairComplex(n, g, tuple(bases), tuple(boundaries))
+
+
+def dense_boundary(cx: PairComplex, d: int) -> list[list[int]]:
+    """The boundary leaving dimension d as a dense matrix, written out from
+    the stored columns; rows indexed by the dimension d-1 basis.
+    Zero-shaped when out of range."""
+    columns = cx.boundaries[d] if 1 <= d < len(cx.boundaries) else ()
+    dense = [[0] * len(columns) for _ in range(cx.rank(d - 1))]
+    for c, column in enumerate(columns):
+        for r, x in column:
+            dense[r][c] = x
+    return dense
 
 
 def canonical_key(s: ProductSimplex) -> tuple[tuple[int, int], ...]:
@@ -578,16 +591,45 @@ class HomologySummary:
         return tuple(free) + tuple(residues)
 
 
-def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
+class DenseComplexLike(Protocol):
+    """What the reference `homology` reads of a complex: the chain ranks
+    and the boundary leaving each degree as a dense matrix, rows indexed by
+    the basis one degree down."""
+
+    def rank(self, d: int) -> int: ...
+
+    def dense(self, d: int) -> Sequence[Sequence[int]]: ...
+
+
+@dataclass(frozen=True)
+class DenseView:
+    """A pair complex that also shows its boundaries dense, through
+    `dense_boundary`, so that the library's `homology` and the reference
+    both read it."""
+
+    cx: PairComplex
+
+    def rank(self, d: int) -> int:
+        return self.cx.rank(d)
+
+    @property
+    def boundaries(self) -> tuple[tuple[Column, ...], ...]:
+        return self.cx.boundaries
+
+    def dense(self, d: int) -> list[list[int]]:
+        return dense_boundary(self.cx, d)
+
+
+def homology(cx: DenseComplexLike, d: int) -> HomologySummary:
     """Homology of the complex at degree d, with projection data."""
     nd = cx.rank(d)
     below = cx.rank(d - 1) if d >= 1 else 0
     above = cx.rank(d + 1)
     # below degree 1 nothing constrains the cycles
-    md = cx.boundary_matrix(d) if d >= 1 else []
+    md = cx.dense(d) if d >= 1 else []
     if len(md) != below or any(len(row) != nd for row in md):
         raise ValueError("boundary matrix at d has the wrong shape")
-    md1 = cx.boundary_matrix(d + 1)
+    md1 = cx.dense(d + 1)
     if len(md1) != nd or any(len(row) != above for row in md1):
         raise ValueError("boundary matrix at d+1 has the wrong shape")
 

@@ -21,7 +21,7 @@ from loophom.homology import (
     smith_normal_form,
 )
 from loophom.transform import nu_vector
-from loophom.wedge import build_pair_complex
+from loophom.wedge import PairComplex, build_pair_complex
 from loophom.words import positive_words
 
 import oracles
@@ -157,7 +157,7 @@ class StubComplex:
     def rank(self, d: int) -> int:
         return self.ranks.get(d, 0)
 
-    def boundary_matrix(self, d: int):
+    def dense(self, d: int):
         if d in self.mats:
             return self.mats[d]
         return [[0] * self.rank(d) for _ in range(self.rank(d - 1))]
@@ -166,7 +166,7 @@ class StubComplex:
     def boundaries(self) -> dict[int, list[tuple[tuple[int, int], ...]]]:
         """The sparse columns of the boundary matrix leaving each degree the
         stub has a rank for, as the pair complex stores them."""
-        return {d: columns_of(self.boundary_matrix(d), self.rank(d)) for d in self.ranks}
+        return {d: columns_of(self.dense(d), self.rank(d)) for d in self.ranks}
 
 
 def test_torus_like():
@@ -212,15 +212,6 @@ def test_homology_rejects_degrees_with_cells_above():
         homology(StubComplex({0: 1, 1: 1}), 0)
 
 
-class ShapeStub(StubComplex):
-    """A stub whose sparse boundaries have the stated number of columns
-    whatever its dense matrices hold, so only a dense shape is wrong."""
-
-    @property
-    def boundaries(self) -> dict[int, list[tuple[tuple[int, int], ...]]]:
-        return {d: [()] * self.rank(d) for d in self.ranks}
-
-
 @pytest.mark.parametrize(
     "mat",
     [
@@ -232,10 +223,61 @@ class ShapeStub(StubComplex):
     ],
 )
 def test_homology_rejects_boundaries_of_the_wrong_shape(mat):
-    cx = ShapeStub({0: 2, 1: 2}, {1: mat})
-    for method in (homology, oracles.homology):
-        with pytest.raises(ValueError, match="^boundary matrix at d has the wrong shape$"):
-            method(cx, 1)
+    """The reference reads dense matrices; the library reads sparse columns,
+    which `test_homology_rejects_columns_of_the_wrong_shape` puts wrong."""
+    with pytest.raises(ValueError, match="^boundary matrix at d has the wrong shape$"):
+        oracles.homology(StubComplex({0: 2, 1: 2}, {1: mat}), 1)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [((0, 1),)],  # a column short
+        [((0, 1),), ((1, 1),), ()],  # a column too many
+        [((0, 1),), ((2, 1),)],  # a row index equal to the rank below
+        [((0, 1),), ((-1, 1),)],  # a negative row index, which indexing would wrap
+    ],
+)
+def test_homology_rejects_columns_of_the_wrong_shape(columns):
+    cx = SparseStub(1, {0: 2, 1: 2}, {1: columns})
+    with pytest.raises(ValueError, match="^boundary matrix at d has the wrong shape$"):
+        homology(cx, 1)
+
+
+@pytest.mark.parametrize("n, g", [(3, 2), (4, 2)])
+def test_homology_reads_no_row_view(monkeypatch, n, g):
+    """`homology` reads the stored columns alone: with the row view
+    `boundary_matrix` refusing every call, the summary is unchanged."""
+    cx = build_pair_complex(n, g)
+    summary = homology(cx, n)
+
+    def refuse(self, d):
+        raise AssertionError("homology read boundary_matrix")
+
+    monkeypatch.setattr(PairComplex, "boundary_matrix", refuse)
+    assert homology(cx, n) == summary
+
+
+@dataclass
+class ColumnsStub(StubComplex):
+    """A stub whose sparse boundaries are given outright, whatever its dense
+    matrices hold."""
+
+    columns: dict[int, Sequence] = field(default_factory=dict)
+
+    @property
+    def boundaries(self) -> dict[int, Sequence]:
+        return self.columns
+
+
+def test_homology_follows_the_stored_columns_not_the_dense_matrices():
+    """A stub with the (3, 2) complex's ranks and columns, but whose dense
+    matrices are all zero, gets the (3, 2) summary; read densely, its top
+    boundary would vanish and every chain would be a cycle."""
+    cx = build_pair_complex(3, 2)
+    stub = ColumnsStub({d: cx.rank(d) for d in range(cx.d_max + 1)}, columns=cx.boundaries)
+    assert not any(map(any, stub.dense(3)))
+    assert homology(stub, 3) == homology(cx, 3)
 
 
 @pytest.mark.parametrize("a", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
@@ -250,13 +292,13 @@ def test_smith_normal_form_rejects_ragged_matrices(a):
 
 
 def test_circle_pair():
-    cx = build_pair_complex(1, 1)
+    cx = oracles.DenseView(build_pair_complex(1, 1))
     h = oracles.homology(cx, 1)
     assert (h.rank, h.torsion) == (1, ())
 
 
 def test_square_pair():
-    cx = build_pair_complex(2, 1)
+    cx = oracles.DenseView(build_pair_complex(2, 1))
     h = oracles.homology(cx, 2)
     assert (h.rank, h.torsion) == (2, ())
     # no boundaries in sight, so coordinates are just the basis coefficients
@@ -265,15 +307,15 @@ def test_square_pair():
 
 
 def test_cube_pair():
-    cx = build_pair_complex(3, 1)
+    cx = oracles.DenseView(build_pair_complex(3, 1))
     h = oracles.homology(cx, 3)
     assert (h.rank, h.torsion) == (3, ())
 
 
 def test_cycle_class_kills_boundaries_exactly():
-    cx = build_pair_complex(3, 1)
+    cx = oracles.DenseView(build_pair_complex(3, 1))
     h = oracles.homology(cx, 2)
-    m3 = cx.boundary_matrix(3)
+    m3 = cx.dense(3)
     cols = len(m3[0]) if m3 else 0
     for c in range(cols):
         column = [m3[r][c] for r in range(len(m3))]
@@ -291,7 +333,7 @@ def test_cycle_class_kills_boundaries_exactly():
 def test_cycle_class_rejects_non_cycles():
     cx = build_pair_complex(3, 1)
     h = homology(cx, 3)
-    m3 = cx.boundary_matrix(3)
+    m3 = oracles.dense_boundary(cx, 3)
     # build a vector with nonzero boundary
     for z in identity_matrix(cx.rank(3)):
         if any(mat_vec(m3, z)):
@@ -306,7 +348,7 @@ def test_cycle_class_rejects_non_cycles():
 def test_cycle_class_additive():
     cx = build_pair_complex(3, 1)
     h = homology(cx, 3)
-    m3 = cx.boundary_matrix(3)
+    m3 = oracles.dense_boundary(cx, 3)
     rng = random.Random(5)
     # kernel vectors via SNF: columns of V past the rank
     nrows, ncols = len(m3), cx.rank(3)
@@ -461,7 +503,7 @@ def perturb_one_entry(rng: random.Random, a: Matrix, b: Matrix) -> None:
 
 def assert_raises_iff_product_nonzero(cx: StubComplex, d: int) -> bool:
     product = reference_mat_mul(
-        cx.boundary_matrix(d), cx.boundary_matrix(d + 1), inner=cx.rank(d)
+        cx.dense(d), cx.dense(d + 1), inner=cx.rank(d)
     )
     bad = any(any(row) for row in product)
     if bad:
@@ -493,8 +535,8 @@ def test_chain_check_rejects_exactly_nonzero_products_on_real_boundaries():
         cx = build_pair_complex(n, g)
         for d in range(1, n + 1):
             for _ in range(8):
-                a = [list(r) for r in cx.boundary_matrix(d)]
-                b = [list(r) for r in cx.boundary_matrix(d + 1)]
+                a = oracles.dense_boundary(cx, d)
+                b = oracles.dense_boundary(cx, d + 1)
                 perturb_one_entry(rng, a, b)
                 ranks = {e: cx.rank(e) for e in (d - 1, d, d + 1)}
                 stub = StubComplex(ranks, {d: a, d + 1: b})
@@ -579,7 +621,7 @@ def reference_summaries(n: int, g: int):
     0..n+1, computed once for the tests that share them: the reference
     reduction is dense and searches its whole remaining submatrix."""
     cx = build_pair_complex(n, g)
-    return cx, tuple(oracles.homology(cx, d) for d in range(n + 2))
+    return cx, tuple(oracles.homology(oracles.DenseView(cx), d) for d in range(n + 2))
 
 
 @pytest.mark.parametrize("n, g", sorted(HOMOLOGY_PINS))
@@ -688,7 +730,7 @@ def assert_cycles_and_classes_agree(cx, d: int, chains) -> int:
     by both methods of both summaries.  Returns how many chains were
     cycles."""
     lib, ref = homology(cx, d), oracles.homology(cx, d)
-    md = cx.boundary_matrix(d) if d >= 1 else []
+    md = cx.dense(d) if d >= 1 else []
     nd = cx.rank(d)
     cycles = 0
     for z in chains:
@@ -728,9 +770,9 @@ def test_is_cycle_and_cycle_class_match_reference_on_seeded_chains():
     cycles = chains = 0
     for n, g in [(1, 2), (2, 2), (3, 1), (3, 2)]:
         cx = build_pair_complex(n, g)
-        kernel = kernel_of(cx.boundary_matrix(n), cx.rank(n - 1), cx.rank(n))
+        kernel = kernel_of(oracles.dense_boundary(cx, n), cx.rank(n - 1), cx.rank(n))
         batch = [z for _ in range(10) for z in random_chains(rng, kernel, cx.rank(n))]
-        cycles += assert_cycles_and_classes_agree(cx, n, batch)
+        cycles += assert_cycles_and_classes_agree(oracles.DenseView(cx), n, batch)
         chains += len(batch)
     # degree 0: no boundary, every chain a cycle
     cycles += assert_cycles_and_classes_agree(StubComplex({0: 3}), 0, identity_matrix(3))

@@ -179,21 +179,29 @@ def test_boundary_squares_to_zero():
         for g in (1, 2):
             cx = build_pair_complex(n, g)
             for d in range(2, cx.d_max + 1):
-                prod = matmul(
-                    [list(r) for r in cx.boundary_matrix(d - 1)],
-                    [list(r) for r in cx.boundary_matrix(d)],
-                )
+                prod = matmul(oracles.dense_boundary(cx, d - 1), oracles.dense_boundary(cx, d))
                 assert all(all(v == 0 for v in row) for row in prod), (n, g, d)
 
 
 def test_boundary_matrix_shapes():
     cx = build_pair_complex(3, 1)
-    m = cx.boundary_matrix(3)
+    m = oracles.dense_boundary(cx, 3)
     assert len(m) == cx.rank(2)
     assert all(len(row) == cx.rank(3) for row in m)
-    beyond = cx.boundary_matrix(cx.d_max + 1)
+    beyond = oracles.dense_boundary(cx, cx.d_max + 1)
     assert len(beyond) == cx.rank(cx.d_max)
-    assert all(row == () for row in beyond)
+    assert all(row == [] for row in beyond)
+
+
+@pytest.mark.parametrize("n, g", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
+def test_boundary_matrix_is_the_dense_boundary_by_rows(n, g):
+    """The row view holds each row's nonzeros of the dense boundary, in
+    column order, at every dimension, the empty ones past d_max included."""
+    cx = build_pair_complex(n, g)
+    for d in range(cx.d_max + 2):
+        dense = oracles.dense_boundary(cx, d)
+        nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in dense]
+        assert cx.boundary_matrix(d) == nonzeros, d
 
 
 def test_boundaries_are_stored_as_sorted_nonzero_columns():
@@ -270,7 +278,7 @@ def test_complex_to_json_round_trips_boundary():
     dense = [[0] * cx.rank(3) for _ in range(cx.rank(2))]
     for r, c, v in by_d[3]["boundary"]:
         dense[r][c] = v
-    assert dense == [list(r) for r in cx.boundary_matrix(3)]
+    assert dense == oracles.dense_boundary(cx, 3)
     for entry in by_d[2]["basis"]:
         assert len(entry) == 3
         for comp in entry:
