@@ -538,9 +538,9 @@ def cmd_nu(args: argparse.Namespace) -> int:
 
 def cmd_export_complex(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    alphabet = make_alphabet([], args.genus)
+    make_alphabet([], args.genus)  # the export names each generator by one letter
     cx = build_pair_complex(args.n, args.genus)
-    payload = complex_to_json(cx, alphabet)
+    payload = complex_to_json(cx)
     ms = int(round((time.perf_counter() - t0) * 1000))
     params = {"genus": args.genus, "n": args.n}
     if args.out is not None:  # the file gets the complex, the report says where it went

@@ -15,9 +15,12 @@ subdivision of D^n decomposes it as a signed sum over the L^n pieces
   (the coordinate map t -> t_q switches value at vertex n - q + 1);
 * the piece's sign is epsilon(sigma).
 
-Every piece lands in the canonical basis (jumps are then a bijection, and
-no component sits at the basepoint), the signed sum is a relative cycle,
-and its homology coordinates are the value of the transformation.
+So piece (v, sigma) is the product simplex whose component p is the cell
+(w[v_p], n - sigma(p) + 1); that n-tuple of circle cells (`wedge.Simplex`)
+is also how the degree-n basis holds it.  Every piece lands in the
+canonical basis (jumps are then a bijection, and no component sits at the
+basepoint), the signed sum is a relative cycle, and its homology
+coordinates are the value of the transformation.
 
 `nu_vector` does not expand pieces.  Grouping the pieces that land on one
 basis simplex s shows that the coefficient of s is linear in the degree-n
@@ -57,10 +60,11 @@ from .homology import HomologySummary, homology
 from .permutations import Perm, enumerate_ens, epsilon
 from .wedge import (
     PairComplex,
-    ProductSimplex,
+    Simplex,
     build_pair_complex,
     enumerate_basis,
     in_Y,
+    is_nondegenerate,
     push_simplex,
 )
 from .words import (
@@ -90,13 +94,11 @@ def shuffle_expand(w: Word, n: int) -> list[tuple[tuple[int, ...], Perm]]:
     return enumerate_ens(n, len(w))
 
 
-def term_to_simplex(w: Word, v: Sequence[int], sigma: Perm) -> ProductSimplex:
-    """The basis simplex of piece (v, sigma) of w: position p carries
-    letter w[v_p] with jump n - sigma(p) + 1."""
+def term_to_simplex(w: Word, v: Sequence[int], sigma: Perm) -> Simplex:
+    """The degree-n basis simplex of piece (v, sigma) of w: position p
+    carries letter w[v_p] with jump n - sigma(p) + 1."""
     n = len(sigma)
-    return ProductSimplex(
-        n, tuple((w[b][0], n - q + 1) for b, q in zip(v, sigma, strict=True))
-    )
+    return tuple((w[b][0], n - q + 1) for b, q in zip(v, sigma, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +134,14 @@ def subdivision_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[
 Row = tuple[tuple[Monomial, int], ...]
 
 
-def _row(s: ProductSimplex) -> Row:
-    """The Magnus coordinates that feed basis simplex s: every split of the
-    positions into consecutive runs of constant letter and ascending sigma
-    adds the sign of sigma at the monomial of the run letters."""
-    n = s.dim
-    letters = [c[0] for c in s.components]
-    sigma = [n - c[1] + 1 for c in s.components]
+def _row(s: Simplex) -> Row:
+    """The Magnus coordinates that feed degree-n basis simplex s, n = len(s):
+    every split of the positions into consecutive runs of constant letter
+    and ascending sigma adds the sign of sigma at the monomial of the run
+    letters."""
+    n = len(s)
+    letters = [c[0] for c in s]
+    sigma = [n - c[1] + 1 for c in s]
     sign = epsilon(tuple(sigma))
 
     def splits(start: int, mono: Monomial) -> Iterator[Monomial]:
@@ -301,7 +304,7 @@ def term_matches_path(
     sigma: Perm,
     nums: Sequence[int],
     den: int,
-    cell: ProductSimplex,
+    cell: Simplex,
     path: list[list[tuple]],
 ) -> bool:
     """Whether, at the sample point with coordinates a_q / den, the simplex
@@ -319,7 +322,7 @@ def term_matches_path(
     """
     n = len(sigma)
     for p in range(n):
-        letter, jump = cell.components[p]
+        letter, jump = cell[p]
         a = nums[n - jump]
         rhs = BASEPOINT if a == 0 or a == den else (letter, a)
         if path[v[p]][sigma[p] - 1] != rhs:
@@ -378,8 +381,9 @@ def push_chain_vector(
     vec: Sequence[int],
     gen_map: Mapping[int, int | None],
 ) -> list[int]:
-    """Push a chain vector forward componentwise, dropping simplices that
-    become degenerate or fall into the collapsed subspace."""
+    """Push a degree-d chain vector forward componentwise, dropping
+    simplices that become degenerate at dimension d or fall into the
+    collapsed subspace."""
     out = [0] * tgt.rank(d)
     basis = src.basis(d)
     index = {s: i for i, s in enumerate(tgt.basis(d))}
@@ -387,7 +391,7 @@ def push_chain_vector(
         if not c:
             continue
         s = push_simplex(basis[i], gen_map)
-        if not s.is_nondegenerate() or in_Y(s):
+        if not is_nondegenerate(s, d) or in_Y(s):
             continue
         out[index[s]] += c
     return out

@@ -8,8 +8,10 @@ the degeneracy of the edge whose vertex sequence switches 0 -> 1 between
 vertices j-1 and j; we write that cell ``(e, j)``.
 
 A simplex of the n-fold product is an n-tuple of such cells at a common
-dimension.  It is nondegenerate exactly when the jumps of its components
-cover every slot, i.e. {jumps} contains [1, d].  The subspace quotiented
+dimension, and it is stored as just that tuple (`Simplex`): its dimension
+d comes from where it is read, the d of `PairComplex.basis(d)` or n at the
+top.  It is nondegenerate exactly when the jumps of its components cover
+every slot, i.e. {jumps} contains [1, d].  The subspace quotiented
 out (written Y here) is the union of: first component at the basepoint,
 last component at the basepoint, and two consecutive components equal.
 Chain groups are spanned by the nondegenerate simplices outside Y, and the
@@ -40,6 +42,8 @@ from .words import LETTER_POOL, combine
 # a circle cell: None is the basepoint simplex, (generator, jump) an
 # edge degeneracy
 Cell = Optional[tuple[int, int]]
+# a simplex of the n-fold product: its n circle cells, all of one dimension
+Simplex = tuple[Cell, ...]
 # a sparse boundary column: its sorted (row, coefficient) nonzeros
 Column = tuple[tuple[int, int], ...]
 
@@ -59,41 +63,26 @@ def cell_face(cell: Cell, d: int, i: int) -> Cell:
     return (e, j2) if 1 <= j2 <= d - 1 else None
 
 
-@dataclass(frozen=True)
-class ProductSimplex:
-    """A dimension-``dim`` simplex of the n-fold product of circles."""
-
-    dim: int
-    components: tuple[Cell, ...]
-
-    def __post_init__(self):
-        for c in self.components:
-            if c is not None:
-                e, j = c
-                if e < 1:
-                    raise ValueError(f"bad generator index {e}")
-                if not 1 <= j <= self.dim:
-                    raise ValueError(f"jump {j} out of range for dimension {self.dim}")
-
-    def is_nondegenerate(self) -> bool:
-        jumps = {c[1] for c in self.components if c is not None}
-        return jumps.issuperset(range(1, self.dim + 1))
+def is_nondegenerate(s: Simplex, d: int) -> bool:
+    """Whether the dimension-d product simplex s is nondegenerate: the
+    jumps of its components cover [1, d]."""
+    jumps = {c[1] for c in s if c is not None}
+    return jumps.issuperset(range(1, d + 1))
 
 
-def in_Y(s: ProductSimplex) -> bool:
+def in_Y(s: Simplex) -> bool:
     """Membership in the collapsed subspace: first or last component at the
     basepoint, or two consecutive components equal."""
-    cs = s.components
-    if not cs:
+    if not s:
         return False
-    if cs[0] is None or cs[-1] is None:
+    if s[0] is None or s[-1] is None:
         return True
-    return any(cs[i] == cs[i + 1] for i in range(len(cs) - 1))
+    return any(s[i] == s[i + 1] for i in range(len(s) - 1))
 
 
-def simplex_str(s: ProductSimplex, alphabet: str = LETTER_POOL) -> str:
+def simplex_str(s: Simplex, alphabet: str = LETTER_POOL) -> str:
     parts = []
-    for c in s.components:
+    for c in s:
         parts.append("*" if c is None else f"({alphabet[c[0] - 1]},{c[1]})")
     return "(" + ",".join(parts) + ")"
 
@@ -107,7 +96,7 @@ def _cells(g: int, d: int) -> list[Cell]:
     return cells
 
 
-def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
+def enumerate_basis(n: int, g: int, d: int) -> list[Simplex]:
     """Basis of the relative chain group: the nondegenerate d-simplices
     outside Y, in canonical order.
 
@@ -119,12 +108,12 @@ def enumerate_basis(n: int, g: int, d: int) -> list[ProductSimplex]:
     if d > n:
         return []  # n components supply at most n jumps, too few to cover
     cells = _cells(g, d)
-    out: list[ProductSimplex] = []
+    out: list[Simplex] = []
 
-    def walk(acc: tuple[Cell, ...], missing: frozenset[int]) -> None:
+    def walk(acc: Simplex, missing: frozenset[int]) -> None:
         pos = len(acc)
         if pos == n:
-            out.append(ProductSimplex(d, acc))
+            out.append(acc)
             return
         prev = acc[-1] if acc else None  # the basepoint may not go first
         for c in cells:
@@ -160,7 +149,7 @@ class PairComplex:
 
     n: int
     g: int
-    bases: tuple[tuple[ProductSimplex, ...], ...]
+    bases: tuple[tuple[Simplex, ...], ...]
     boundaries: tuple[tuple[Column, ...], ...]
 
     @property
@@ -168,7 +157,7 @@ class PairComplex:
         """The top dimension stored: n + 1."""
         return self.n + 1
 
-    def basis(self, d: int) -> tuple[ProductSimplex, ...]:
+    def basis(self, d: int) -> tuple[Simplex, ...]:
         return self.bases[d] if 0 <= d < len(self.bases) else ()
 
     def rank(self, d: int) -> int:
@@ -204,12 +193,11 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
     bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
     boundaries: list[tuple[Column, ...]] = [()]
     for d in range(1, d_max + 1):
-        row_of = {s.components: i for i, s in enumerate(bases[d - 1])}.get
+        row_of = {s: i for i, s in enumerate(bases[d - 1])}.get
         faces = [(table.__getitem__, (-1) ** i) for i, table in enumerate(face_tables(g, d))]
         columns = []
         for s in bases[d]:
-            cs = s.components
-            terms = [(row_of(tuple(map(face, cs))), sign) for face, sign in faces]
+            terms = [(row_of(tuple(map(face, s))), sign) for face, sign in faces]
             column = combine([(r, sign) for r, sign in terms if r is not None])
             columns.append(tuple(sorted(column.items())))
         boundaries.append(tuple(columns))
@@ -225,24 +213,23 @@ def push_cell(cell: Cell, gen_map: dict[int, int | None]) -> Cell:
     return None if target is None else (target, j)
 
 
-def push_simplex(s: ProductSimplex, gen_map: dict[int, int | None]) -> ProductSimplex:
-    return ProductSimplex(
-        s.dim, tuple(push_cell(c, gen_map) for c in s.components)
-    )
+def push_simplex(s: Simplex, gen_map: dict[int, int | None]) -> Simplex:
+    return tuple(push_cell(c, gen_map) for c in s)
 
 
-def complex_to_json(cx: PairComplex, alphabet: str = LETTER_POOL) -> dict:
+def complex_to_json(cx: PairComplex) -> dict:
     """JSON-ready description: bases as component lists, boundaries as
     sparse (row, col, value) triplets in row-major order, read off the row
-    view `PairComplex.boundary_matrix`.  Each circle cell's ``[letter,
-    jump]`` list is built once per dimension and shared by every basis
-    component that is that cell."""
+    view `PairComplex.boundary_matrix`.  Generator e is named by letter e
+    of `LETTER_POOL`.  Each circle cell's ``[letter, jump]`` list is built
+    once per dimension and shared by every basis component that is that
+    cell."""
     dims = []
     for d in range(cx.d_max + 1):
         cell_json = {
-            c: None if c is None else [alphabet[c[0] - 1], c[1]] for c in _cells(cx.g, d)
+            c: None if c is None else [LETTER_POOL[c[0] - 1], c[1]] for c in _cells(cx.g, d)
         }
-        basis_json = [list(map(cell_json.__getitem__, s.components)) for s in cx.basis(d)]
+        basis_json = [list(map(cell_json.__getitem__, s)) for s in cx.basis(d)]
         rows = cx.boundary_matrix(d)
         triplets = [[r, c, x] for r, row in enumerate(rows) for c, x in row]
         dims.append({"d": d, "basis": basis_json, "boundary": triplets})

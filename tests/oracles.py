@@ -44,7 +44,7 @@ from loophom.affine import AffineSimplexMap, Point, _from_numerators
 from loophom.chains import FormalChain
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
-from loophom.wedge import Cell, Column, PairComplex, ProductSimplex, cell_face, enumerate_basis
+from loophom.wedge import Column, PairComplex, Simplex, cell_face, enumerate_basis
 from loophom.words import Monomial, Tensor, Word, WordCombo, combine, combo_magnus
 
 
@@ -164,24 +164,18 @@ def is_ens(v: Sequence[int], sigma: Perm, k: int) -> bool:
     return is_shuffle(level_sizes(v, k), sigma)
 
 
-def face(s: ProductSimplex, i: int) -> ProductSimplex:
-    """Face i of a product simplex, taken componentwise."""
-    return ProductSimplex(s.dim - 1, tuple(cell_face(c, s.dim, i) for c in s.components))
+def face(s: Simplex, d: int, i: int) -> Simplex:
+    """Face i of a dimension-d product simplex, taken componentwise."""
+    return tuple(cell_face(c, d, i) for c in s)
 
 
-def boundary_of_simplex(
-    s: ProductSimplex, basis_index: dict[tuple[Cell, ...], int]
-) -> Column:
-    """Sorted (index, coefficient) nonzeros of the alternating face sum,
-    keeping only faces that stay in the spanning set (nondegenerate,
-    outside Y).  `basis_index` maps the components of each basis cell one
+def boundary_of_simplex(s: Simplex, d: int, basis_index: dict[Simplex, int]) -> Column:
+    """Sorted (index, coefficient) nonzeros of the alternating face sum of
+    the dimension-d simplex s, keeping only faces that stay in the spanning
+    set (nondegenerate, outside Y).  `basis_index` maps each basis cell one
     dimension down to its index.  Every face cell comes from its own
     `cell_face` call."""
-    d = s.dim
-    faces = (
-        (basis_index.get(tuple(cell_face(c, d, i) for c in s.components)), (-1) ** i)
-        for i in range(d + 1)
-    )
+    faces = ((basis_index.get(face(s, d, i)), (-1) ** i) for i in range(d + 1))
     return tuple(sorted(combine((r, c) for r, c in faces if r is not None).items()))
 
 
@@ -193,8 +187,8 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
     bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
     boundaries: list[tuple[Column, ...]] = [()]
     for d in range(1, d_max + 1):
-        index = {s.components: i for i, s in enumerate(bases[d - 1])}
-        boundaries.append(tuple(boundary_of_simplex(s, index) for s in bases[d]))
+        index = {s: i for i, s in enumerate(bases[d - 1])}
+        boundaries.append(tuple(boundary_of_simplex(s, d, index) for s in bases[d]))
     return PairComplex(n, g, tuple(bases), tuple(boundaries))
 
 
@@ -210,12 +204,11 @@ def dense_boundary(cx: PairComplex, d: int) -> list[list[int]]:
     return dense
 
 
-def canonical_key(s: ProductSimplex) -> tuple[tuple[int, int], ...]:
+def canonical_key(s: Simplex) -> tuple[tuple[int, int], ...]:
     """Sort key of the canonical basis order, componentwise: the basepoint
     first, then generators ascending and, within a generator, jumps
     descending."""
-    d = s.dim
-    return tuple((0, 0) if c is None else (c[0], d - c[1] + 1) for c in s.components)
+    return tuple((0, 0) if c is None else (c[0], -c[1]) for c in s)
 
 
 def reduce_word(w: Word) -> Word:
@@ -418,7 +411,7 @@ def term_matches_path(
     v: Sequence[int],
     sigma: Perm,
     x: Sequence[Fraction],
-    cell: ProductSimplex,
+    cell: Simplex,
     path: list[list[tuple]],
 ) -> bool:
     """Whether, at the sample point x, the simplex encoding piece
@@ -433,7 +426,7 @@ def term_matches_path(
     """
     n = len(sigma)
     for p in range(1, n + 1):
-        letter, jump = cell.components[p - 1]
+        letter, jump = cell[p - 1]
         u = x[(n - jump + 1) - 1]
         lhs = path[v[p - 1]][sigma[p - 1] - 1]
         rhs = BASEPOINT if u in (0, 1) else (letter, u)
@@ -458,11 +451,32 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def reference_pivot(
+    d: Sequence[Sequence[int]], t: int, nrows: int, ncols: int
+) -> tuple[int, int] | None:
+    """The pivot of the block of d past (t, t): its least nonzero |entry|,
+    then lowest (row, col); None when the block is zero.  No |entry| is
+    below 1, so the row-major scan stops at the first ±1."""
+    piv = None
+    best = None
+    for i in range(t, nrows):
+        row = d[i]
+        for j in range(t, ncols):
+            x = row[j]
+            if x and (best is None or abs(x) < best):
+                best = abs(x)
+                piv = (i, j)
+                if best == 1:
+                    return piv
+    return piv
+
+
 def reference_snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
     """Reduce to Smith form; returns (U, D, V, Vinv) with U a V = D and
-    V Vinv = I.  The dense original of the library's `_snf`, kept unchanged:
-    the sparse reduction must reproduce its D and Vinv exactly, and
-    `smith_normal_form` its U and V."""
+    V Vinv = I.  The dense original of the library's `_snf`, kept step for
+    step (its pivot scan, `reference_pivot`, now stops at the first ±1, the
+    pivot the full scan keeps): the sparse reduction must reproduce its D
+    and Vinv exactly, and `smith_normal_form` its U and V."""
     d = [list(row) for row in a]
     if len(d) != nrows or any(len(row) != ncols for row in d):
         raise ValueError("matrix shape disagrees with stated dimensions")
@@ -471,15 +485,7 @@ def reference_snf(a: Sequence[Sequence[int]], nrows: int, ncols: int):
     vinv = identity_matrix(ncols)
     t = 0
     while True:
-        # deterministic pivot: minimal |entry|, then lowest (row, col)
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = d[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
+        piv = reference_pivot(d, t, nrows, ncols)
         if piv is None:
             break
         i0, j0 = piv

@@ -42,7 +42,7 @@ from loophom.transform import (
     symbolic_cancellation,
     vanishing_sum_check,
 )
-from loophom.wedge import ProductSimplex, build_pair_complex
+from loophom.wedge import build_pair_complex
 from oracles import context, mat_mul, nu_basis_matrix, shuffle_transposition_test
 
 
@@ -272,8 +272,8 @@ def test_criterion_10_homology_rank_and_matrix():
 @reported("criterion 11 value-pins")
 def test_criterion_11_value_pins():
     cx = build_pair_complex(2, 1)
-    a = ProductSimplex(2, ((1, 2), (1, 1)))
-    b = ProductSimplex(2, ((1, 1), (1, 2)))
+    a = ((1, 2), (1, 1))
+    b = ((1, 1), (1, 2))
     assert list(cx.basis(2)) == [a, b]
     x = ((1, 1),)
     assert nu_vector(x, cx) == [1, 0]

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from loophom import cli
 from loophom.wedge import build_pair_complex, complex_to_json
-from loophom.words import make_alphabet
 
 
 def run(capsys, *argv):
@@ -380,7 +379,7 @@ def test_render_json_is_json_dumps(value):
 
 @pytest.mark.parametrize("n, g", [(4, 3), (5, 2)])
 def test_render_json_is_json_dumps_on_large_exports(n, g):
-    payload = complex_to_json(build_pair_complex(n, g), make_alphabet([], g))
+    payload = complex_to_json(build_pair_complex(n, g))
     assert cli.render_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 

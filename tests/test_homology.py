@@ -433,6 +433,21 @@ def test_snf_matches_reference_on_seeded_sparse_matrices():
         assert snf_outputs([[]] * k, k, 0) == reference_snf([[]] * k, k, 0)
 
 
+def test_reference_pivot_is_the_least_entry_first_in_row_major_order():
+    """The scan that stops at the first ±1 picks min((|x|, i, j)) over the
+    block past (t, t)."""
+    rng = random.Random(20241)
+    for _ in range(500):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        a = random_sparse_matrix(rng, nrows, ncols)
+        t = rng.randint(0, max(min(nrows, ncols) - 1, 0))
+        block = [
+            (abs(a[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]
+        ]
+        want = min(block)[1:] if block else None
+        assert oracles.reference_pivot(a, t, nrows, ncols) == want, (a, t)
+
+
 def test_mat_mul_matches_reference_on_seeded_sparse_matrices():
     rng = random.Random(4411)
     for _ in range(200):

@@ -21,6 +21,7 @@ from loophom.transform import (
     nu_eval,
     nu_vector,
     path_eval,
+    push_chain_vector,
     push_word,
     random_simplex_points,
     sampling_oracle,
@@ -31,14 +32,14 @@ from loophom.transform import (
     term_to_simplex,
     vanishing_sum_check,
 )
-from loophom.wedge import ProductSimplex, build_pair_complex, in_Y
+from loophom.wedge import Simplex, build_pair_complex, in_Y, is_nondegenerate
 from loophom.words import magnus, monomial_index, parse_word, positivize
 import oracles
 from oracles import context, nu_basis_matrix, on_common_denominator
 
 X = ((1, 1),)
-A = ProductSimplex(2, ((1, 2), (1, 1)))
-B = ProductSimplex(2, ((1, 1), (1, 2)))
+A = ((1, 2), (1, 1))
+B = ((1, 1), (1, 2))
 
 
 def positive_words(g, max_len):
@@ -88,15 +89,9 @@ def test_shuffle_expand_errors():
 def test_term_to_simplex_frozen():
     assert term_to_simplex(X, (0, 0), (1, 2)) == A
     xy = parse_word("xy")
-    assert term_to_simplex(xy, (0, 1), (1, 2)) == ProductSimplex(
-        2, ((1, 2), (2, 1))
-    )
-    assert term_to_simplex(xy, (0, 1), (2, 1)) == ProductSimplex(
-        2, ((1, 1), (2, 2))
-    )
-    assert term_to_simplex(X, (0, 0, 0), (1, 2, 3)) == ProductSimplex(
-        3, ((1, 3), (1, 2), (1, 1))
-    )
+    assert term_to_simplex(xy, (0, 1), (1, 2)) == ((1, 2), (2, 1))
+    assert term_to_simplex(xy, (0, 1), (2, 1)) == ((1, 1), (2, 2))
+    assert term_to_simplex(X, (0, 0, 0), (1, 2, 3)) == ((1, 3), (1, 2), (1, 1))
     with pytest.raises(ValueError):
         term_to_simplex(X, (0,), (1, 2))
 
@@ -107,7 +102,7 @@ def test_terms_land_in_the_canonical_basis():
             for n in (1, 2, 3):
                 for v, sigma in shuffle_expand(w, n):
                     s = term_to_simplex(w, v, sigma)
-                    assert s.is_nondegenerate()
+                    assert is_nondegenerate(s, n)
                     assert not in_Y(s)
 
 
@@ -502,9 +497,9 @@ def test_sampling_oracle_rejects_forged_cells():
     nums, den = on_common_denominator((Fraction(1, 3), Fraction(1, 2)))
     path = _path_table(xy, nums, den)
     assert term_matches_path(v, sigma, nums, den, term_to_simplex(xy, v, sigma), path)
-    wrong_letters = ProductSimplex(2, ((2, 2), (1, 1)))
+    wrong_letters = ((2, 2), (1, 1))
     assert not term_matches_path(v, sigma, nums, den, wrong_letters, path)
-    wrong_jumps = ProductSimplex(2, ((1, 1), (2, 2)))
+    wrong_jumps = ((1, 1), (2, 2))
     assert not term_matches_path(v, sigma, nums, den, wrong_jumps, path)
 
 
@@ -529,17 +524,15 @@ def sample_points(n: int, seed: int) -> list[tuple[Fraction, ...]]:
     return fixed + oracles.random_simplex_points(n, 6, seed)
 
 
-def forged_cells(w, v, sigma) -> list[ProductSimplex]:
+def forged_cells(w, v, sigma) -> list[Simplex]:
     """The piece's own simplex, then, position by position, the simplex with
     that letter changed and with that jump moved to the next coordinate."""
     true = term_to_simplex(w, v, sigma)
-    n = true.dim
+    n = len(true)
     out = [true]
-    for p, (letter, jump) in enumerate(true.components):
+    for p, (letter, jump) in enumerate(true):
         for forged in ((3 - letter, jump), (letter, jump % n + 1)):
-            comps = list(true.components)
-            comps[p] = forged
-            out.append(ProductSimplex(n, tuple(comps)))
+            out.append(true[:p] + (forged,) + true[p + 1:])
     return out
 
 
@@ -598,7 +591,7 @@ def oracle_cases(draw):
     x = tuple(sorted(Fraction(draw(st.integers(0, d)), d) for d in dens))
     cell = st.tuples(st.integers(1, 2), st.integers(1, n))
     forged = draw(st.lists(st.tuples(cell, cell, cell), min_size=1, max_size=4))
-    return w, n, x, [ProductSimplex(n, comps[:n]) for comps in forged]
+    return w, n, x, [comps[:n] for comps in forged]
 
 
 @settings(deadline=None, max_examples=200)
@@ -619,6 +612,40 @@ def test_push_word_frozen():
     assert push_word(w, {1: 1, 2: None}) == ((1, 1), (1, 1))
     assert push_word(w, {1: 2, 2: 1}) == ((2, 1), (1, -1), (2, 1))
     assert push_word((), {1: 1}) == ()
+
+
+def brute_push(src, tgt, d, vec, gen_map):
+    """Push every degree-d basis cell of src through gen_map and keep the
+    ones that cover the jumps [1, d] and lie outside Y."""
+    out = [0] * tgt.rank(d)
+    target_basis = list(tgt.basis(d))
+    for s, c in zip(src.basis(d), vec, strict=True):
+        t = tuple(
+            None if cell is None or gen_map[cell[0]] is None else (gen_map[cell[0]], cell[1])
+            for cell in s
+        )
+        if not {cell[1] for cell in t if cell is not None} >= set(range(1, d + 1)):
+            continue
+        if t[0] is None or t[-1] is None or any(a == b for a, b in zip(t, t[1:])):
+            continue
+        out[target_basis.index(t)] += c
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, g_src, g_tgt", [(1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 2)]
+)
+def test_push_chain_vector_matches_brute_force(n, g_src, g_tgt):
+    """Every map of the source generators to the target generators or the
+    basepoint (relabels, folds and collapses), at every degree."""
+    src, tgt = build_pair_complex(n, g_src), build_pair_complex(n, g_tgt)
+    rng = Random(n * 100 + g_src * 10 + g_tgt)
+    for images in itertools.product([None, *range(1, g_tgt + 1)], repeat=g_src):
+        gen_map = dict(enumerate(images, start=1))
+        for d in range(0, n + 2):
+            vec = [rng.randint(-3, 3) for _ in range(src.rank(d))]
+            want = brute_push(src, tgt, d, vec, gen_map)
+            assert push_chain_vector(src, tgt, d, vec, gen_map) == want, (gen_map, d)
 
 
 def test_naturality_cases():
