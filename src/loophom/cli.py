@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -386,43 +387,36 @@ def theorem_b_checks(
     genus: int, n: int, gamma: str | None, alphas: list[str] | None
 ) -> Iterator[Check]:
     """One vanishing sum for the given words, or the battery: every gamma of
-    length <= 2 against every (n+1)-tuple of single letters."""
+    length <= 2 against every (n+1)-tuple of single letters.  Only a failing
+    sum has its class read, for the witness, through `homology`."""
     alphabet = make_alphabet([] if alphas is None else [gamma] + alphas, genus)
-    if alphas is not None and len(alphas) != n + 1:  # before the costly context
+    if alphas is not None and len(alphas) != n + 1:  # before the costly complex
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
     cx = build_pair_complex(n, genus)
-    summary = homology(cx, n)
+    summary = functools.cache(lambda: homology(cx, n))
     if alphas is not None:
-        ok, coords = vanishing_sum_check(
-            parse_word(gamma, alphabet),
-            [parse_word(t, alphabet) for t in alphas],
-            cx,
-            summary,
+        ok, vec = vanishing_sum_check(
+            parse_word(gamma, alphabet), [parse_word(t, alphabet) for t in alphas], cx
         )
-        yield ok, None if ok else {"class": list(coords)}
+        yield ok, None if ok else {"class": list(summary().cycle_class(vec))}
         return
     letters = positive_words(genus, (1,))
     for base in positive_words(genus, (0, 1, 2)):
         for loops in itertools.product(letters, repeat=n + 1):
-            ok, coords = vanishing_sum_check(base, list(loops), cx, summary)
+            ok, vec = vanishing_sum_check(base, list(loops), cx)
             witness = None
             if not ok:
                 witness = {
                     "gamma": word_str(base, alphabet),
                     "alphas": [word_str(a, alphabet) for a in loops],
-                    "class": list(coords),
+                    "class": list(summary().cycle_class(vec)),
                 }
             yield ok, witness
 
 
 def naturality_checks(max_n: int) -> Iterator[Check]:
     ranks = (1, 2)
-    complexes = {}
-    summaries = {}
-    for n in range(1, max_n + 1):
-        for g in ranks:
-            complexes[n, g] = build_pair_complex(n, g)
-            summaries[n, g] = homology(complexes[n, g], n)
+    complexes = {(n, g): build_pair_complex(n, g) for n in range(1, max_n + 1) for g in ranks}
     for n in range(1, max_n + 1):
         for g_src in ranks:
             words = positive_words(g_src, (1, 2))
@@ -432,11 +426,7 @@ def naturality_checks(max_n: int) -> Iterator[Check]:
                     gen_map = dict(enumerate(images, start=1))
                     for w in words:
                         ok = naturality_check(
-                            gen_map,
-                            w,
-                            complexes[n, g_src],
-                            complexes[n, g_tgt],
-                            summaries[n, g_tgt],
+                            gen_map, w, complexes[n, g_src], complexes[n, g_tgt]
                         )
                         witness = None
                         if not ok:

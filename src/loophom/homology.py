@@ -12,11 +12,12 @@ it — deterministic across runs.
 which is where the loop classes live: the pair complex has no cells above
 its power n, so H_n is the cycle group Z_n, free as it lies in C_n.  A
 chain is a cycle when the complex's own stored boundary ∂ sends it to
-zero: `_zero_image` sums that image over the chain's nonzeros and tests
-it once, and `homology_groups` checks ∂_d ∂_(d+1) = 0 with the same
-test, one column of ∂_(d+1) at a time.  One reduction U ∂ V = D reads
-the class: the rows of V^-1 past the rank of ∂, the class rows, are all
-the summary keeps of it, and a class is one sum per class row.
+zero: `zero_image` sums that image over the chain's nonzeros and tests
+it once.  `homology_groups` checks ∂_d ∂_(d+1) = 0 with the same test,
+one column of ∂_(d+1) at a time, and so do `transform`'s top-degree
+checks on their chains.  One reduction U ∂ V = D reads the class: the
+rows of V^-1 past the rank of ∂, the class rows, are all the summary
+keeps of it, and a class is one sum per class row.
 `_snf` changes a V^-1 row only while it is the pivot row, so when every
 pivot is a unit each class row is a single 1.  It tracks only D and V^-1:
 U and V exist only as identity blocks that `smith_normal_form` adds to
@@ -197,7 +198,7 @@ class ChainComplexLike(Protocol):
     def boundaries(self) -> Sequence[Sequence[Column]]: ...
 
 
-def _zero_image(columns: Sequence[Column], chain: Iterable[tuple[int, int]]) -> bool:
+def zero_image(columns: Sequence[Column], chain: Iterable[tuple[int, int]]) -> bool:
     """Whether the matrix with these sparse columns sends the chain of
     (cell, coefficient) pairs to zero: the image is summed into one dict
     by row, zeros kept, and tested once at the end."""
@@ -230,7 +231,7 @@ class HomologySummary:
         """Whether a chain vector z of this degree has zero boundary."""
         if len(z) != len(self._boundary):
             raise ValueError(f"expected a vector of length {len(self._boundary)}")
-        return _zero_image(self._boundary, enumerate(z))
+        return zero_image(self._boundary, enumerate(z))
 
     def cycle_class(self, z: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a relative cycle in this degree's homology: one
@@ -321,7 +322,7 @@ def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     for d in range(1, n + 1):  # each column of the product of d and d + 1
         below = cx.boundaries[d]
         for column in cx.boundaries[d + 1]:
-            if not _zero_image(below, column):
+            if not zero_image(below, column):
                 raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     factors = [[]] + [
         invariant_factors(cx.boundaries[d], cx.rank(d - 1)) for d in range(1, n + 2)

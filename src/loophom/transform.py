@@ -35,8 +35,13 @@ costs one sum of the columns of its nonzero Magnus coordinates.
 
 `subdivision_vector` keeps the geometric sum itself -- inverse letters
 rewritten by `positivize`, then every piece mapped to its simplex -- as an
-independent witness: `vanishing_sum_check` reads its classes through it,
-since `nu_vector` is zero on every sum that check evaluates.
+independent witness: `vanishing_sum_check` reads its chain, since
+`nu_vector` is zero on every sum that check evaluates.
+
+Both top-degree checks compare chains, not classes: with no cells above
+degree n, H_n is the cycle group Z_n, so two classes are equal exactly
+when their cycles are equal chains.  A check runs no Smith reduction, only
+the test that each chain it reads is a cycle (`homology.zero_image`).
 
 The module also houses the cross-checks used by the verification suites: a
 pointwise sampling oracle for the decomposition, the symbolic
@@ -56,7 +61,7 @@ from math import lcm
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
-from .homology import HomologySummary, homology
+from .homology import homology, zero_image
 from .permutations import Perm, enumerate_ens, epsilon
 from .wedge import (
     PairComplex,
@@ -186,13 +191,6 @@ def nu_vector(elt: Word | Mapping[Word, int], cx: PairComplex) -> list[int]:
     return out
 
 
-def _top_degree(cx: PairComplex, summary: HomologySummary) -> int:
-    """The power n of cx, once summary is known to be its degree-n homology."""
-    if summary.degree != cx.n:
-        raise ValueError(f"degree-{summary.degree} homology given for power {cx.n}")
-    return cx.n
-
-
 def nu_eval(elt: Word | Mapping[Word, int], n: int, g: int) -> tuple[int, ...]:
     """Homology coordinates of the transformation applied to a word (or an
     integer combination of words) at degree n for the rank-g wedge; builds
@@ -203,25 +201,22 @@ def nu_eval(elt: Word | Mapping[Word, int], n: int, g: int) -> tuple[int, ...]:
 
 
 def vanishing_sum_check(
-    gamma: Word,
-    alphas: Sequence[Word],
-    cx: PairComplex,
-    summary: HomologySummary,
-) -> tuple[bool, tuple[int, ...]]:
+    gamma: Word, alphas: Sequence[Word], cx: PairComplex
+) -> tuple[bool, list[int]]:
     """Evaluate sum over subsets I of {0..n} of (-1)^{|I|} applied to
-    gamma * prod_{i in I} alpha_i (ascending), in the degree-n homology
-    `summary` of the pair complex `cx`, n = cx.n.
+    gamma * prod_{i in I} alpha_i (ascending), as a degree-n chain of the
+    pair complex `cx`, n = cx.n.
 
     The summed combination equals gamma * prod_i (1 - alpha_i), a right
-    multiple of n+1 augmentation factors, so the result must be zero.  Its
+    multiple of n+1 augmentation factors, so its class must be zero.  Its
     Magnus expansion has no terms of degree <= n, so `nu_vector` gives 0
-    by construction; the class is therefore taken from the geometric
-    `subdivision_vector`.  At the top degree `cycle_class` rejects a
-    non-cycle and is injective on cycles, so a zero class means that chain
-    vector is zero too.  The coordinates are returned alongside for
-    reporting.
+    by construction; the chain is therefore the geometric
+    `subdivision_vector`.  At the top degree a class is zero exactly when
+    its cycle is the zero chain, so the check passes when that chain is
+    zero; a chain that is not a cycle raises ValueError.  The chain is
+    returned alongside, for a caller to read the class of a failure.
     """
-    n = _top_degree(cx, summary)
+    n = cx.n
     if len(alphas) != n + 1:
         raise ValueError(f"need exactly {n + 1} loops, got {len(alphas)}")
     for w in (gamma, *alphas):  # the sum may cancel a word before it is read
@@ -230,8 +225,10 @@ def vanishing_sum_check(
         (tuple(itertools.chain(gamma, *itertools.compress(alphas, bits))), (-1) ** sum(bits))
         for bits in itertools.product((0, 1), repeat=n + 1)
     )
-    coords = summary.cycle_class(subdivision_vector(combo, cx))
-    return not any(coords), coords
+    vec = subdivision_vector(combo, cx)
+    if not zero_image(cx.boundaries[n], enumerate(vec)):
+        raise ValueError("vector is not a cycle")
+    return not any(vec), vec
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +399,23 @@ def naturality_check(
     w: Word,
     src: PairComplex,
     tgt: PairComplex,
-    tgt_summary: HomologySummary,
 ) -> bool:
     """Evaluate-then-push equals push-then-evaluate, in target homology:
     `src` and `tgt` are the pair complexes of one power n over the source
-    and target wedges, `tgt_summary` the degree-n homology of `tgt`."""
+    and target wedges.  Both sides are degree-n cycles of `tgt`, whose
+    classes are equal exactly when the chains are, so the chains are
+    compared; a side that is not a cycle raises ValueError."""
     if src.n != tgt.n:
         raise ValueError(f"source power {src.n} and target power {tgt.n} differ")
-    n = _top_degree(tgt, tgt_summary)
+    n = tgt.n
     for i, target in gen_map.items():
         if not 1 <= i <= src.g:
             raise ValueError(f"source generator {i} out of range")
         if target is not None and not 1 <= target <= tgt.g:
             raise ValueError(f"target generator {target} out of range")
-    lhs = tgt_summary.cycle_class(nu_vector(push_word(w, gen_map), tgt))
-    pushed = push_chain_vector(src, tgt, n, nu_vector(w, src), gen_map)
-    rhs = tgt_summary.cycle_class(pushed)
+    lhs = nu_vector(push_word(w, gen_map), tgt)
+    rhs = push_chain_vector(src, tgt, n, nu_vector(w, src), gen_map)
+    for vec in (lhs, rhs):
+        if not zero_image(tgt.boundaries[n], enumerate(vec)):
+            raise ValueError("vector is not a cycle")
     return lhs == rhs

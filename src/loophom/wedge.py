@@ -23,8 +23,8 @@ ascending and, within a generator, jumps descending.
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
 nonzeros per basis cell.  No dense matrix is ever built: `by_rows` buckets
-the columns by row wherever a row-major view is read (the Smith reduction
-in `homology`, the export's triplets).
+the columns by row for the Smith reduction in `homology`, and
+`PairComplex.boundary_matrix` the export's triplets straight from them.
 A face of a product simplex is taken componentwise, and a circle cell has
 few faces: `face_tables` lists face i of each of the g·d + 1 cells of
 dimension d once, so that assembling a boundary is table lookups rather
@@ -163,14 +163,19 @@ class PairComplex:
     def rank(self, d: int) -> int:
         return len(self.basis(d))
 
-    def boundary_matrix(self, d: int) -> list[list[tuple[int, int]]]:
-        """The boundary leaving dimension d by rows, `by_rows` of its stored
-        columns: one list per dimension d-1 basis cell of its ``(column,
-        coefficient)`` nonzeros, all empty when d is out of range.  It
-        keeps the name ``boundary_matrix`` because the benchmark's tracer
-        (``perfbench/tracing.py``) counts boundary nonzeros through it."""
+    def boundary_matrix(self, d: int) -> list[list[list[int]]]:
+        """The boundary leaving dimension d by rows, as the export writes
+        it: one list per dimension d-1 basis cell of its ``[row, column,
+        coefficient]`` nonzeros, in column order, all empty when d is out of
+        range.  It keeps the name ``boundary_matrix`` because the
+        benchmark's tracer (``perfbench/tracing.py``) counts boundary
+        nonzeros through it."""
         columns = self.boundaries[d] if 1 <= d < len(self.boundaries) else ()
-        return by_rows(columns, self.rank(d - 1))
+        rows: list[list[list[int]]] = [[] for _ in range(self.rank(d - 1))]
+        for c, column in enumerate(columns):
+            for r, x in column:
+                rows[r].append([r, c, x])
+        return rows
 
 
 def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
@@ -219,18 +224,17 @@ def push_simplex(s: Simplex, gen_map: dict[int, int | None]) -> Simplex:
 
 def complex_to_json(cx: PairComplex) -> dict:
     """JSON-ready description: bases as component lists, boundaries as
-    sparse (row, col, value) triplets in row-major order, read off the row
-    view `PairComplex.boundary_matrix`.  Generator e is named by letter e
-    of `LETTER_POOL`.  Each circle cell's ``[letter, jump]`` list is built
-    once per dimension and shared by every basis component that is that
-    cell."""
+    sparse (row, col, value) triplets in row-major order, the rows of
+    `PairComplex.boundary_matrix` one after another.  Generator e is named
+    by letter e of `LETTER_POOL`.  Each circle cell's ``[letter,
+    jump]`` list is built once per dimension and shared by every basis
+    component that is that cell."""
     dims = []
     for d in range(cx.d_max + 1):
         cell_json = {
             c: None if c is None else [LETTER_POOL[c[0] - 1], c[1]] for c in _cells(cx.g, d)
         }
         basis_json = [list(map(cell_json.__getitem__, s)) for s in cx.basis(d)]
-        rows = cx.boundary_matrix(d)
-        triplets = [[r, c, x] for r, row in enumerate(rows) for c, x in row]
+        triplets = [t for row in cx.boundary_matrix(d) for t in row]
         dims.append({"d": d, "basis": basis_json, "boundary": triplets})
     return {"n": cx.n, "g": cx.g, "dims": dims}

@@ -23,7 +23,8 @@ assembly from per-dimension face tables.  `dense_boundary` writes a
 boundary out as the dense matrix that the library never builds, and
 `DenseView` shows a pair complex to the reference `homology` that way.
 The rest are conveniences built on the library -- coordinates, the rank-1
-evaluation matrix, a cached top-degree context.  None of them is needed to compute
+evaluation matrix, a cached pair complex (`context`), a top-degree chain
+that is not a cycle (`non_cycle`).  None of them is needed to compute
 anything.
 """
 
@@ -38,7 +39,6 @@ from numbers import Rational
 from random import Random
 from typing import Mapping, Protocol, Sequence
 
-import loophom.homology
 import loophom.wedge
 from loophom.affine import AffineSimplexMap, Point, _from_numerators
 from loophom.chains import FormalChain
@@ -332,11 +332,19 @@ def fn_basis_coords(
 
 
 @lru_cache(maxsize=None)
-def context(n: int, g: int) -> tuple[PairComplex, loophom.homology.HomologySummary]:
-    """The pair complex of the rank-g wedge at power n and its degree-n
-    homology: what `vanishing_sum_check` and `naturality_check` take."""
-    cx = loophom.wedge.build_pair_complex(n, g)
-    return cx, loophom.homology.homology(cx, n)
+def context(n: int, g: int) -> PairComplex:
+    """The pair complex of the rank-g wedge at power n, built once: all
+    that `vanishing_sum_check` and `naturality_check` take."""
+    return loophom.wedge.build_pair_complex(n, g)
+
+
+def non_cycle(cx: PairComplex) -> list[int]:
+    """A top-degree chain that is not a cycle: the first basis cell whose
+    stored boundary is nonzero.  The zero chain when every cell is a
+    cycle, as at power 1, where C_0 = 0."""
+    columns = cx.boundaries[cx.n]
+    first = next((i for i, column in enumerate(columns) if column), None)
+    return [int(i == first) for i in range(len(columns))]
 
 
 def nu_basis_matrix(n: int) -> list[list[int]]:

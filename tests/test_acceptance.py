@@ -239,8 +239,8 @@ def test_criterion_09_alternating_sums_vanish():
         for n in (1, 2, 3):
             for gamma in gammas:
                 for alphas in itertools.product(letters, repeat=n + 1):
-                    ok, coords = vanishing_sum_check(gamma, list(alphas), *context(n, g))
-                    assert ok, (g, n, gamma, alphas, coords)
+                    ok, vec = vanishing_sum_check(gamma, list(alphas), context(n, g))
+                    assert ok, (g, n, gamma, alphas, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def test_criterion_12_naturality():
                     gen_map = dict(enumerate(images, start=1))
                     for w in words:
                         assert naturality_check(
-                            gen_map, w, context(n, g_src)[0], *context(n, g_tgt)
+                            gen_map, w, context(n, g_src), context(n, g_tgt)
                         ), (gen_map, w, n)
 
 

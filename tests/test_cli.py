@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loophom import cli
+import loophom.homology
+from loophom import cli, transform
+from loophom.homology import homology
 from loophom.wedge import build_pair_complex, complex_to_json
+from oracles import non_cycle
 
 
 def run(capsys, *argv):
@@ -206,6 +209,79 @@ def test_theorem_b_rejects_a_wrong_loop_count_before_building(capsys, monkeypatc
     monkeypatch.setattr(cli, "build_pair_complex", refuse)
     assert cli.main(["verify", "theorem-b", "--n", "4", "--alphas", "x"]) == 2
     assert "need exactly 5 loops, got 1" in capsys.readouterr().err
+
+
+THEOREM_B_CASE = ["verify", "theorem-b", "--gamma", "y", "--alphas", "x,x,xy"]
+
+
+@pytest.mark.parametrize(
+    "argv, cases",
+    [(["verify", "theorem-b"], 56), (THEOREM_B_CASE, 1), (["verify", "naturality"], 176)],
+)
+def test_passing_top_degree_checks_run_no_reduction(capsys, monkeypatch, argv, cases):
+    """H_n = Z_n at the top degree, so a passing check compares chains and
+    never reads a class."""
+
+    def refuse(*args):
+        raise AssertionError("a passing check ran a Smith reduction")
+
+    monkeypatch.setattr(loophom.homology, "_snf", refuse)
+    code, report = run_json(capsys, *argv)
+    assert (code, report["status"], report["cases"], report["failures"]) == (0, "pass", cases, 0)
+
+
+def add_to_sums(monkeypatch, extra):
+    """Make every vanishing sum read its chain plus the chain extra(cx)."""
+    real = transform.subdivision_vector
+    monkeypatch.setattr(
+        transform,
+        "subdivision_vector",
+        lambda elt, cx: [a + b for a, b in zip(real(elt, cx), extra(cx))],
+    )
+
+
+def test_theorem_b_witness_has_the_class_of_a_corrupted_sum(capsys, monkeypatch):
+    def cycle(cx):
+        return transform.nu_vector(((1, 1),) * 2, cx)
+
+    add_to_sums(monkeypatch, cycle)
+    cx = build_pair_complex(2, 2)
+    want = list(homology(cx, 2).cycle_class(cycle(cx)))
+    assert any(want)
+    code, report = run_json(capsys, *THEOREM_B_CASE)
+    assert (code, report["failures"], report["witness"]) == (1, 1, {"class": want})
+    code, report = run_json(capsys, "verify", "theorem-b")
+    assert (code, report["cases"], report["failures"]) == (1, 56, 56)
+    assert report["witness"] == {"gamma": "", "alphas": ["x", "x", "x"], "class": want}
+
+
+@pytest.mark.parametrize("argv", [["verify", "theorem-b"], THEOREM_B_CASE])
+def test_theorem_b_sum_that_is_not_a_cycle_is_a_usage_error(capsys, monkeypatch, argv):
+    assert any(non_cycle(build_pair_complex(2, 2)))
+    add_to_sums(monkeypatch, non_cycle)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: vector is not a cycle\n")
+
+
+def test_naturality_on_corrupted_chains(capsys, monkeypatch):
+    """A cycle added to the pushed chain fails every case; a chain that is
+    not a cycle, which power 2 has, is a usage error."""
+    real = transform.push_chain_vector
+
+    def add_to_pushed(extra):
+        def pushed(src, tgt, d, vec, gen_map):
+            return [a + b for a, b in zip(real(src, tgt, d, vec, gen_map), extra(tgt))]
+
+        monkeypatch.setattr(transform, "push_chain_vector", pushed)
+
+    add_to_pushed(lambda tgt: transform.nu_vector(((1, 1),), tgt))
+    code, report = run_json(capsys, "verify", "naturality")
+    assert (code, report["cases"], report["failures"]) == (1, 176, 176)
+    add_to_pushed(non_cycle)
+    code = cli.main(["verify", "naturality"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", "error: vector is not a cycle\n")
 
 
 @pytest.mark.parametrize(

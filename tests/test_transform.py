@@ -3,13 +3,13 @@
 import inspect
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loophom import transform
 from loophom.homology import homology, smith_normal_form
 from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
@@ -248,8 +248,6 @@ DIFFERENTIAL_GRID = [
 # carry up to 3 inverse letters at n <= 2, 2 or 3 at n = 3 and 1 at n = 4.
 SHUFFLE_BUDGET = 5_000
 
-complex_for = lru_cache(maxsize=None)(build_pair_complex)
-
 
 def shuffle_terms(combo, n):
     return sum(len(u) ** n for w in combo for u in positivize(w, n) if u)
@@ -270,7 +268,7 @@ def assert_paths_agree(elt, cx):
 
 @pytest.mark.parametrize("n,g", DIFFERENTIAL_GRID)
 def test_nu_vector_matches_subdivision_seeded(n, g):
-    cx = complex_for(n, g)
+    cx = context(n, g)
     rng = Random(1000 * n + g)
     checked = 0
     for length in range(8):
@@ -284,7 +282,7 @@ def test_nu_vector_matches_subdivision_seeded(n, g):
 
 @pytest.mark.parametrize("n,g", DIFFERENTIAL_GRID)
 def test_nu_vector_matches_subdivision_on_combinations(n, g):
-    cx = complex_for(n, g)
+    cx = context(n, g)
     rng = Random(2000 * n + g)
     zero = [0] * cx.rank(n)
     assert assert_paths_agree((), cx) == zero
@@ -333,7 +331,7 @@ def test_nu_vector_matches_subdivision_property(case):
     n, g, w = case
     while shuffle_terms([w], n) > SHUFFLE_BUDGET:
         w = w[:-1]
-    assert_paths_agree(w, complex_for(n, g))
+    assert_paths_agree(w, context(n, g))
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +348,24 @@ def test_vanishing_sum_cases():
         ((), (X, X, X, X), 3, 1),
     ]
     for gamma, alphas, n, g in cases:
-        ok, coords = vanishing_sum_check(gamma, alphas, *context(n, g))
-        assert ok, coords
-        assert coords == tuple([0] * len(coords))
+        ok, vec = vanishing_sum_check(gamma, alphas, context(n, g))
+        assert ok, vec
+        assert vec == [0] * context(n, g).rank(n)
 
 
 def test_vanishing_sum_rejects_exponents_other_than_units():
-    cx, summary = context(2, 2)
+    cx = context(2, 2)
     bad = ((1, 2),)
     for gamma, alphas in ((bad, (X, X, X)), ((), (X, bad, X))):
         with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
-            vanishing_sum_check(gamma, alphas, cx, summary)
+            vanishing_sum_check(gamma, alphas, cx)
     # an empty loop cancels every word of the sum, so none of them is read:
     # the inputs are checked before summing
     for gamma, alphas in ((bad, ((), X, X)), ((), ((), bad, X))):
         with pytest.raises(ValueError, match="letter exponent must be \\+-1, got 2"):
-            vanishing_sum_check(gamma, alphas, cx, summary)
+            vanishing_sum_check(gamma, alphas, cx)
     with pytest.raises(ValueError, match="generator 3 out of range"):
-        vanishing_sum_check(((3, 1),), ((), X, X), cx, summary)
+        vanishing_sum_check(((3, 1),), ((), X, X), cx)
 
 
 def test_nu_vector_vanishes_on_the_theorem_b_battery():
@@ -377,7 +375,7 @@ def test_nu_vector_vanishes_on_the_theorem_b_battery():
     So the matrix path reads the zero chain on all 56, and only the
     geometric sum can tell the check anything."""
     n, g = 2, 2
-    cx = complex_for(n, g)
+    cx = context(n, g)
     zero = [0] * cx.rank(n)
     checked = 0
     for gamma in ((), *positive_words(g, 2)):
@@ -393,7 +391,7 @@ def test_nu_vector_vanishes_on_the_theorem_b_battery():
 
 def test_vanishing_sum_needs_n_plus_one_loops():
     with pytest.raises(ValueError):
-        vanishing_sum_check((), (X, X), *context(2, 1))
+        vanishing_sum_check((), (X, X), context(2, 1))
 
 
 def test_top_degree_entry_points_have_no_optional_inputs():
@@ -404,26 +402,64 @@ def test_top_degree_entry_points_have_no_optional_inputs():
 
 
 def test_checks_take_n_from_their_context():
-    cx1, summary1 = context(1, 1)
-    cx2, summary2 = context(2, 1)
+    cx1, cx2 = context(1, 1), context(2, 1)
     # two loops at power 1, three at power 2: the count follows the complex
-    assert vanishing_sum_check((), (X, X), cx1, summary1) == (True, (0,))
+    assert vanishing_sum_check((), (X, X), cx1) == (True, [0])
     with pytest.raises(ValueError, match="need exactly 3 loops"):
-        vanishing_sum_check((), (X, X), cx2, summary2)
-    with pytest.raises(ValueError, match="degree-2 homology given for power 1"):
-        vanishing_sum_check((), (X, X), cx1, summary2)
-    with pytest.raises(ValueError, match="degree-1 homology given for power 2"):
-        naturality_check({1: 1}, X * 2, cx2, cx2, summary1)
-    # a summary of another rank does not fit the complex's chain vectors
-    with pytest.raises(ValueError, match="expected a vector of length 8"):
-        vanishing_sum_check((), (X, X, X), cx2, context(2, 2)[1])
+        vanishing_sum_check((), (X, X), cx2)
+    assert vanishing_sum_check((), (X, X, X), cx2) == (True, [0, 0])
+
+
+def add(u, v):
+    return [a + b for a, b in zip(u, v, strict=True)]
+
+
+@pytest.mark.parametrize("corrupt", ["cycle", "non-cycle"])
+def test_vanishing_sum_check_sees_a_corrupted_chain(monkeypatch, corrupt):
+    """A cycle added to the sum fails the check and comes back as its
+    chain; a chain that is not a cycle raises."""
+    cx = context(2, 2)
+    extra = nu_vector(X * 2, cx) if corrupt == "cycle" else oracles.non_cycle(cx)
+    assert any(extra)
+    real = transform.subdivision_vector
+    monkeypatch.setattr(transform, "subdivision_vector", lambda elt, cx: add(real(elt, cx), extra))
+    if corrupt == "cycle":
+        assert vanishing_sum_check((), (X, X, X), cx) == (False, extra)
+    else:
+        with pytest.raises(ValueError, match="not a cycle"):
+            vanishing_sum_check((), (X, X, X), cx)
+
+
+@pytest.mark.parametrize("side", ["pushed word", "pushed chain"])
+@pytest.mark.parametrize("corrupt", ["cycle", "non-cycle"])
+def test_naturality_check_sees_either_side_corrupted(monkeypatch, side, corrupt):
+    src, tgt = context(2, 1), context(2, 2)
+    gen_map, w = {1: 2}, X * 2
+    assert naturality_check(gen_map, w, src, tgt)
+    extra = nu_vector(X, tgt) if corrupt == "cycle" else oracles.non_cycle(tgt)
+    assert any(extra)
+    if side == "pushed word":  # the one nu_vector call on the target complex
+        real_nu = transform.nu_vector
+        monkeypatch.setattr(
+            transform,
+            "nu_vector",
+            lambda elt, cx: add(real_nu(elt, cx), extra) if cx is tgt else real_nu(elt, cx),
+        )
+    else:
+        real_push = transform.push_chain_vector
+        monkeypatch.setattr(transform, "push_chain_vector", lambda *a: add(real_push(*a), extra))
+    if corrupt == "cycle":
+        assert not naturality_check(gen_map, w, src, tgt)
+    else:
+        with pytest.raises(ValueError, match="not a cycle"):
+            naturality_check(gen_map, w, src, tgt)
 
 
 def test_naturality_check_rejects_complexes_of_different_powers():
     with pytest.raises(ValueError, match="source power 1 and target power 2 differ"):
-        naturality_check({1: 1}, X, context(1, 1)[0], *context(2, 1))
+        naturality_check({1: 1}, X, context(1, 1), context(2, 1))
     with pytest.raises(ValueError, match="source power 2 and target power 1 differ"):
-        naturality_check({1: 1}, X, context(2, 1)[0], *context(1, 1))
+        naturality_check({1: 1}, X, context(2, 1), context(1, 1))
 
 
 def test_symbolic_cancellation_empty():
@@ -662,12 +698,12 @@ def test_naturality_cases():
     ]
     for gen_map, w, n, g_src, g_tgt in cases:
         assert naturality_check(
-            gen_map, w, context(n, g_src)[0], *context(n, g_tgt)
+            gen_map, w, context(n, g_src), context(n, g_tgt)
         ), (gen_map, w, n)
 
 
 def test_naturality_validates_generator_ranges():
     with pytest.raises(ValueError):
-        naturality_check({3: 1}, X, context(1, 1)[0], *context(1, 1))
+        naturality_check({3: 1}, X, context(1, 1), context(1, 1))
     with pytest.raises(ValueError):
-        naturality_check({1: 5}, X, context(1, 1)[0], *context(1, 1))
+        naturality_check({1: 5}, X, context(1, 1), context(1, 1))

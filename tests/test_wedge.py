@@ -194,12 +194,13 @@ def test_boundary_matrix_shapes():
 
 @pytest.mark.parametrize("n, g", [(2, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
 def test_boundary_matrix_is_the_dense_boundary_by_rows(n, g):
-    """The row view holds each row's nonzeros of the dense boundary, in
-    column order, at every dimension, the empty ones past d_max included."""
+    """The row view holds each row's nonzeros of the dense boundary, as
+    [row, column, entry] in column order, at every dimension, the empty
+    ones past d_max included."""
     cx = build_pair_complex(n, g)
     for d in range(cx.d_max + 2):
         dense = oracles.dense_boundary(cx, d)
-        nonzeros = [[(c, x) for c, x in enumerate(row) if x] for row in dense]
+        nonzeros = [[[r, c, x] for c, x in enumerate(row) if x] for r, row in enumerate(dense)]
         assert cx.boundary_matrix(d) == nonzeros, d
 
 
