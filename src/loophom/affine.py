@@ -12,8 +12,8 @@ common denominator ``den`` and a tuple ``nums`` of integer numerator rows,
 gcd(den, every numerator) = 1.  That form is canonical: two maps are equal,
 and hash alike, exactly when their vertex images are equal.  Every vertex of
 a degree-k subdivision piece has denominator k, so composing, slicing and
-comparing maps is integer arithmetic.  `_from_numerators` is the one way
-to build a map, so every map is stored in that form.
+comparing maps is integer arithmetic.  The constructor divides out the
+common factor, so every map is stored in that form.
 
 Conventions that differ from the most common ones and are load-bearing:
 
@@ -60,17 +60,19 @@ def _corner(n: int, i: int, scale: int = 1) -> tuple[int, ...]:
     return (0,) * (n - i) + (scale,) * i
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class AffineSimplexMap:
     """An affine map D^q -> R^p, canonically ``(codomain_dim, den, nums)``.
 
     ``nums[i] / den`` is the image of ``E(q, i)``, and the domain dimension
-    is one less than the number of rows.  Maps come from `_from_numerators`.
+    is one less than the number of rows.  The constructor divides ``den``
+    and every numerator by their gcd.  It trusts the rows to hold
+    codomain_dim integers each.
 
-    >>> m = _from_numerators(2, 12, ((0, 0), (6, 4)))
+    >>> m = AffineSimplexMap(2, 12, ((0, 0), (6, 4)))
     >>> m
     AffineSimplexMap(codomain_dim=2, den=6, nums=((0, 0), (3, 2)))
-    >>> m == _from_numerators(2, 6, ((0, 0), (3, 2)))
+    >>> m == AffineSimplexMap(2, 6, ((0, 0), (3, 2)))
     True
     """
 
@@ -78,34 +80,30 @@ class AffineSimplexMap:
     den: int
     nums: Rows
 
+    def __post_init__(self) -> None:
+        if not self.nums:
+            raise ValueError("an affine map needs at least one vertex image")
+        if self.den < 1:
+            raise ValueError(f"denominator must be >= 1, got {self.den}")
+        common = self.den
+        for row in self.nums:
+            if common == 1:
+                return
+            common = gcd(common, *row)
+        if common > 1:
+            # past the frozen __setattr__
+            object.__setattr__(self, "den", self.den // common)
+            object.__setattr__(
+                self, "nums", tuple(tuple(x // common for x in row) for row in self.nums)
+            )
+
     @property
     def domain_dim(self) -> int:
         return len(self.nums) - 1
 
 
-def _from_numerators(codomain_dim: int, den: int, nums: Rows) -> AffineSimplexMap:
-    """The map with vertex images ``nums[i] / den``, put in canonical form.
-    Trusts its input: den > 0 and every row has codomain_dim integers."""
-    if not nums:
-        raise ValueError("an affine map needs at least one vertex image")
-    common = den
-    for row in nums:
-        if common == 1:
-            break
-        common = gcd(common, *row)
-    if common > 1:
-        den //= common
-        nums = tuple(tuple(x // common for x in row) for row in nums)
-    m = object.__new__(AffineSimplexMap)
-    # past the frozen __setattr__
-    object.__setattr__(m, "codomain_dim", codomain_dim)
-    object.__setattr__(m, "den", den)
-    object.__setattr__(m, "nums", nums)
-    return m
-
-
 def identity_map(n: int) -> AffineSimplexMap:
-    return _from_numerators(n, 1, tuple(_corner(n, i) for i in range(n + 1)))
+    return AffineSimplexMap(n, 1, tuple(_corner(n, i) for i in range(n + 1)))
 
 
 def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
@@ -129,7 +127,7 @@ def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
     rows = tuple(
         tuple(b + sum(map(mul, row, col)) for b, col in zip(base, columns)) for row in f.nums
     )
-    return _from_numerators(g.codomain_dim, d_f * g.den, rows)
+    return AffineSimplexMap(g.codomain_dim, d_f * g.den, rows)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +140,7 @@ def face_map(n: int, i: int) -> AffineSimplexMap:
     if not 0 <= i <= n:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
     rows = tuple(_corner(n, j) for j in range(n + 1) if j != n - i)
-    return _from_numerators(n, 1, rows)
+    return AffineSimplexMap(n, 1, rows)
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +161,7 @@ def subdivision_piece(v: tuple[int, ...], sigma: Perm, k: int) -> AffineSimplexM
     if k < 1:
         raise ValueError("subdivision arity must be >= 1")
     rows = tuple(tuple(map(add, v, act_on_coords(sigma, _corner(n, i)))) for i in range(n + 1))
-    return _from_numerators(n, k, rows)
+    return AffineSimplexMap(n, k, rows)
 
 
 def cone(m: AffineSimplexMap, apex_index: int) -> AffineSimplexMap:
@@ -172,7 +170,7 @@ def cone(m: AffineSimplexMap, apex_index: int) -> AffineSimplexMap:
     p = m.codomain_dim
     if not 0 <= apex_index <= p:
         raise ValueError(f"apex index {apex_index} out of range for D^{p}")
-    return _from_numerators(p, m.den, m.nums + (_corner(p, apex_index, m.den),))
+    return AffineSimplexMap(p, m.den, m.nums + (_corner(p, apex_index, m.den),))
 
 
 def f_map(x: InvolPoint, k: int) -> tuple[AffineSimplexMap, int]:
@@ -189,7 +187,7 @@ def f_map(x: InvolPoint, k: int) -> tuple[AffineSimplexMap, int]:
         raise ValueError(f"face index {i} out of range for [0, {n}]")
     piece = subdivision_piece(tuple(v), sigma, k)
     rows = piece.nums[: n - i] + piece.nums[n - i + 1:]
-    return _from_numerators(n, piece.den, rows), point_sign(sigma, i)
+    return AffineSimplexMap(n, piece.den, rows), point_sign(sigma, i)
 
 
 def ftilde_map(w: Sequence[int], tau: Perm, i: int, k: int) -> tuple[AffineSimplexMap, int]:

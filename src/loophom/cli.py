@@ -258,8 +258,9 @@ def write_stdout(text: str) -> None:
 def subdivision_checks(max_n: int, max_k: int) -> Iterator[Check]:
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
-            count_ok = len(div_chain(n, k)) == k**n
-            lhs = chain_compose(div_chain(n, k), boundary_chain(n))
+            chain = div_chain(n, k)
+            count_ok = len(chain) == k**n
+            lhs = chain_compose(chain, boundary_chain(n))
             rhs = chain_compose(boundary_chain(n), div_chain(n - 1, k))
             yield count_ok and lhs == rhs, {"n": n, "k": k}
 

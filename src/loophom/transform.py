@@ -68,8 +68,6 @@ from .wedge import (
     Simplex,
     build_pair_complex,
     enumerate_basis,
-    in_Y,
-    is_nondegenerate,
     push_simplex,
 )
 from .words import (
@@ -378,19 +376,18 @@ def push_chain_vector(
     vec: Sequence[int],
     gen_map: Mapping[int, int | None],
 ) -> list[int]:
-    """Push a degree-d chain vector forward componentwise, dropping
-    simplices that become degenerate at dimension d or fall into the
-    collapsed subspace."""
+    """Push a degree-d chain vector forward componentwise, dropping the
+    simplices that leave the degree-d basis of `tgt`: the basis is exactly
+    the nondegenerate cells outside Y, so a cell missing from it became
+    degenerate or fell into the collapsed subspace."""
     out = [0] * tgt.rank(d)
     basis = src.basis(d)
-    index = {s: i for i, s in enumerate(tgt.basis(d))}
+    row_of = {s: i for i, s in enumerate(tgt.basis(d))}.get
     for i, c in enumerate(vec):
-        if not c:
-            continue
-        s = push_simplex(basis[i], gen_map)
-        if not is_nondegenerate(s, d) or in_Y(s):
-            continue
-        out[index[s]] += c
+        if c:
+            r = row_of(push_simplex(basis[i], gen_map))
+            if r is not None:
+                out[r] += c
     return out
 
 

@@ -14,11 +14,16 @@ top.  It is nondegenerate exactly when the jumps of its components cover
 every slot, i.e. {jumps} contains [1, d].  The subspace quotiented
 out (written Y here) is the union of: first component at the basepoint,
 last component at the basepoint, and two consecutive components equal.
-Chain groups are spanned by the nondegenerate simplices outside Y, and the
-boundary drops faces that leave that spanning set.  `enumerate_basis`
-walks only those cells.  It lists them in canonical order: lexicographic
-in the components, where the basepoint comes first, then generators
-ascending and, within a generator, jumps descending.
+Chain groups are spanned by the nondegenerate simplices outside Y.
+`enumerate_basis` walks only those cells, and it is the one place that
+states the rule: everywhere else a cell is in the spanning set exactly
+when the basis index finds it, so the boundary drops the faces and
+`transform.push_chain_vector` the pushed cells that it does not find.
+`in_Y` restates Y as a predicate.  No library code calls it; it stays
+because the benchmark's tracer (``perfbench/tracing.py``) looks it up by
+name.  The basis is listed in canonical order: lexicographic in the
+components, where the basepoint comes first, then generators ascending
+and, within a generator, jumps descending.
 
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
@@ -61,13 +66,6 @@ def cell_face(cell: Cell, d: int, i: int) -> Cell:
     e, j = cell
     j2 = j - 1 if i < j else j
     return (e, j2) if 1 <= j2 <= d - 1 else None
-
-
-def is_nondegenerate(s: Simplex, d: int) -> bool:
-    """Whether the dimension-d product simplex s is nondegenerate: the
-    jumps of its components cover [1, d]."""
-    jumps = {c[1] for c in s if c is not None}
-    return jumps.issuperset(range(1, d + 1))
 
 
 def in_Y(s: Simplex) -> bool:

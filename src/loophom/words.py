@@ -16,9 +16,10 @@ once per (n, g), and ``expansion`` computes a word's coordinates on them
 by updating one int list in place per letter.  The evaluation in
 ``transform.nu_vector`` reads a word only through ``expansion``: its chain
 vector is a fixed matrix times these coordinates, inverse letters
-included.  ``magnus`` and ``combo_magnus`` are the same coordinates as a
-dict of the nonzero ones, by monomial; ``tests/oracles.py`` keeps the
-truncated polynomial product as their reference.
+included.  ``magnus`` gives the same coordinates, of a word or a
+combination, as a dict of the nonzero ones, by monomial;
+``tests/oracles.py`` keeps the truncated polynomial product as their
+reference.
 
 Integer combinations of words (``WordCombo``), monomials (``Tensor``),
 boundary faces and shuffle terms are summed into dicts that never store a
@@ -228,23 +229,22 @@ def _least_rank(words: Iterable[Word]) -> int:
     return g
 
 
-def combo_magnus(combo: Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
-    """Degree-n expansion of an integer combination of words: the nonzero
-    coordinates of `expansion`, by monomial.  Every word is checked against
-    the rank g, or, with none given, against the largest generator used."""
+def magnus(elt: Word | Mapping[Word, int], n: int, g: int | None = None) -> Tensor:
+    """Degree-n expansion of a word or an integer combination of words,
+    generator i -> 1 + X_i: the nonzero coordinates of `expansion`, by
+    monomial.  Every word is checked against the rank g, or, with none
+    given, against the largest generator used.
+
+    >>> magnus(((1, 1),), 2)
+    {(): 1, (1,): 1}
+    >>> magnus({((1, 1),): 1, ((1, -1),): 1}, 2)
+    {(): 2, (1, 1): 1}
+    """
+    combo = {elt: 1} if isinstance(elt, tuple) else elt
     if g is None:
         g = _least_rank(combo)
     monomials = monomial_index(n, g).monomials
     return {m: c for m, c in zip(monomials, expansion(combo, n, g)) if c}
-
-
-def magnus(w: Word, n: int, g: int | None = None) -> Tensor:
-    """Degree-n expansion of a word: multiplicative, generator i -> 1 + X_i.
-
-    >>> magnus(((1, 1),), 2)
-    {(): 1, (1,): 1}
-    """
-    return combo_magnus({w: 1}, n, g)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +280,6 @@ def positivize(w: Word, n: int) -> WordCombo:
         combo = combine(
             (u + v, cu * cv) for u, cu in combo.items() for v, cv in factor.items()
         )
-    if combo_magnus(combo, n) != magnus(w, n):
+    if magnus(combo, n) != magnus(w, n):
         raise AssertionError(f"positivize broke the degree-{n} expansion of {w}")
     return combo

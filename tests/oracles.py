@@ -17,6 +17,8 @@ which the library stores and builds only in integers: a map from
 images as `Fraction`s.
 `reference_magnus` multiplies truncated polynomials letter by letter
 (`tensor_mul`), the reference for the library's in-place expansion.
+`is_nondegenerate` states the jump-cover rule that the library's
+`enumerate_basis` walk builds in, the reference for the brute-force basis.
 `build_pair_complex` sums each boundary column face by face through
 `cell_face` (`boundary_of_simplex`), the reference for the library's
 assembly from per-dimension face tables.  `dense_boundary` writes a
@@ -40,12 +42,12 @@ from random import Random
 from typing import Mapping, Protocol, Sequence
 
 import loophom.wedge
-from loophom.affine import AffineSimplexMap, Point, _from_numerators
+from loophom.affine import AffineSimplexMap, Point
 from loophom.chains import FormalChain
 from loophom.permutations import Perm, is_shuffle, level_sizes
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import Column, PairComplex, Simplex, cell_face, enumerate_basis
-from loophom.words import Monomial, Tensor, Word, WordCombo, combine, combo_magnus
+from loophom.words import Monomial, Tensor, Word, WordCombo, combine, magnus
 
 
 def as_point(coords: Sequence) -> Point:
@@ -68,7 +70,7 @@ def affine_map(codomain_dim: int, vertices: Sequence[Sequence]) -> AffineSimplex
                 )
     den = lcm(*(c.denominator for v in vertices for c in v))
     nums = tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in vertices)
-    return _from_numerators(codomain_dim, den, nums)
+    return AffineSimplexMap(codomain_dim, den, nums)
 
 
 def vertices(m: AffineSimplexMap) -> tuple[Point, ...]:
@@ -164,6 +166,13 @@ def is_ens(v: Sequence[int], sigma: Perm, k: int) -> bool:
     return is_shuffle(level_sizes(v, k), sigma)
 
 
+def is_nondegenerate(s: Simplex, d: int) -> bool:
+    """Whether the dimension-d product simplex s is nondegenerate: the
+    jumps of its components cover [1, d]."""
+    jumps = {c[1] for c in s if c is not None}
+    return jumps.issuperset(range(1, d + 1))
+
+
 def face(s: Simplex, d: int, i: int) -> Simplex:
     """Face i of a dimension-d product simplex, taken componentwise."""
     return tuple(cell_face(c, d, i) for c in s)
@@ -227,7 +236,7 @@ def reduce_word(w: Word) -> Word:
 
 
 # The truncated polynomial product: the reference for `words.expansion`,
-# whose nonzero coordinates `words.magnus` and `words.combo_magnus` return.
+# whose nonzero coordinates `words.magnus` returns.
 
 
 def tensor_one() -> Tensor:
@@ -319,11 +328,9 @@ def fn_basis_coords(
     g: int,
 ) -> tuple[int, ...]:
     """Coordinates of a combination of words on the monomial basis."""
-    if isinstance(combo, tuple):
-        combo = {combo: 1}
-    elif not isinstance(combo, Mapping):
+    if not isinstance(combo, (tuple, Mapping)):
         combo = dict(combo)
-    t = combo_magnus(combo, n, g)
+    t = magnus(combo, n, g)
     coords = tuple(t.get(m, 0) for m in monomial_basis(n, g))
     leftovers = set(t) - set(monomial_basis(n, g))
     if leftovers:

@@ -9,7 +9,9 @@ reruns them at the full stated bounds.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 import re
 from decimal import Decimal
@@ -21,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from loophom.affine import (
     AffineSimplexMap,
-    _from_numerators,
     compose,
     f_map,
     face_map,
@@ -95,11 +96,11 @@ def test_canonical_form_divides_out_common_factors():
     a = affine_map(1, ((0,), (1,)))
     b = affine_map(1, ((F(0),), (F(2, 2),)))
     assert (a.den, a.nums) == (b.den, b.nums) == (1, ((0,), (1,)))
-    c = _from_numerators(2, 6, ((0, 2), (4, 6)))
+    c = AffineSimplexMap(2, 6, ((0, 2), (4, 6)))
     d = affine_map(2, ((0, F(1, 3)), (F(2, 3), 1)))
     assert (c.den, c.nums) == (d.den, d.nums) == (3, ((0, 1), (2, 3)))
     assert c == d and hash(c) == hash(d)
-    assert _from_numerators(0, 4, ((),)) == identity_map(0)
+    assert AffineSimplexMap(0, 4, ((),)) == identity_map(0)
     with pytest.raises(ValueError, match="at least one vertex image"):
         f_map(((), (), 0), 2)
 
@@ -111,9 +112,24 @@ def test_maps_are_immutable():
 
 
 def test_maps_have_no_vertex_constructor():
-    # every map comes from _from_numerators, in canonical form
+    # a map is built from a denominator and integer rows, never from
+    # Fraction vertex images, and never without its fields
     with pytest.raises(TypeError):
         AffineSimplexMap(1, ((0,), (F(1, 2),)))
+    with pytest.raises(TypeError):
+        AffineSimplexMap()
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_constructor_rejects_denominators_below_one(den):
+    with pytest.raises(ValueError, match=f"denominator must be >= 1, got {den}"):
+        AffineSimplexMap(1, den, ((0,), (1,)))
+
+
+def test_copies_and_pickles_are_equal_maps():
+    m = subdivision_piece((0, 1), (2, 1), 3)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and hash(twin) == hash(m)
 
 
 def test_apply_sends_defining_vertices_to_their_images():
@@ -323,13 +339,13 @@ def reference_face(n: int, i: int) -> AffineSimplexMap:
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_from_numerators_is_canonical_property(data):
+def test_constructor_is_canonical_property(data):
     q, p = data.draw(st.tuples(st.integers(0, 4), st.integers(0, 4)))
     den = data.draw(st.integers(1, 60))
     nums = data.draw(st.tuples(*[st.tuples(*[st.integers(-60, 60)] * p)] * (q + 1)))
     k = data.draw(st.integers(1, 12))
-    m = _from_numerators(p, den, nums)
-    scaled = _from_numerators(p, k * den, tuple(tuple(k * x for x in row) for row in nums))
+    m = AffineSimplexMap(p, den, nums)
+    scaled = AffineSimplexMap(p, k * den, tuple(tuple(k * x for x in row) for row in nums))
     assert scaled == m and hash(scaled) == hash(m)
     assert is_canonical(m)
     assert m == affine_map(p, tuple(tuple(F(x, den) for x in row) for row in nums))

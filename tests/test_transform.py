@@ -32,10 +32,10 @@ from loophom.transform import (
     term_to_simplex,
     vanishing_sum_check,
 )
-from loophom.wedge import Simplex, build_pair_complex, in_Y, is_nondegenerate
+from loophom.wedge import Simplex, build_pair_complex, in_Y
 from loophom.words import magnus, monomial_index, parse_word, positivize
 import oracles
-from oracles import context, nu_basis_matrix, on_common_denominator
+from oracles import context, is_nondegenerate, nu_basis_matrix, on_common_denominator
 
 X = ((1, 1),)
 A = ((1, 2), (1, 1))
@@ -669,7 +669,19 @@ def brute_push(src, tgt, d, vec, gen_map):
 
 
 @pytest.mark.parametrize(
-    "n, g_src, g_tgt", [(1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 2)]
+    "n, g_src, g_tgt",
+    [
+        (1, 2, 1),
+        (2, 1, 2),
+        (2, 2, 1),
+        (2, 2, 2),
+        (3, 2, 1),
+        (3, 2, 2),
+        (2, 3, 2),
+        (4, 2, 1),
+        (4, 2, 2),
+        (4, 1, 2),
+    ],
 )
 def test_push_chain_vector_matches_brute_force(n, g_src, g_tgt):
     """Every map of the source generators to the target generators or the

@@ -21,11 +21,10 @@ from loophom.wedge import (
     enumerate_basis,
     face_tables,
     in_Y,
-    is_nondegenerate,
     push_simplex,
     simplex_str,
 )
-from oracles import canonical_key, face
+from oracles import canonical_key, face, is_nondegenerate
 
 A = ((1, 2), (1, 1))
 B = ((1, 1), (1, 2))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from loophom.words import (
     combine,
-    combo_magnus,
     expansion,
     is_positive,
     magnus,
@@ -162,7 +161,7 @@ def test_magnus_rejects_generators_below_one(i):
         with pytest.raises(ValueError, match=pattern):
             magnus(w, 2)
         with pytest.raises(ValueError, match=pattern):
-            combo_magnus({((1, 1),): 1, w: -1}, 2)
+            magnus({((1, 1),): 1, w: -1}, 2)
     with pytest.raises(ValueError, match=f"generator {i} out of range for rank 2"):
         magnus(((i, 1),), 2, g=2)
 
@@ -230,8 +229,8 @@ def test_expansion_of_empty_words_and_combinations():
     for n in range(0, 4):
         for g in (None, 1, 3):
             assert magnus((), n, g) == {(): 1}
-            assert combo_magnus({}, n, g) == {}
-            assert combo_magnus({(): 3, ((1, 1), (1, -1)): -3}, n, g) == {}
+            assert magnus({}, n, g) == {}
+            assert magnus({(): 3, ((1, 1), (1, -1)): -3}, n, g) == {}
     assert expansion({}, 2, 2) == [0] * 7
     assert expansion({(): -2}, 2, 2) == [-2] + [0] * 6
 
@@ -253,7 +252,7 @@ def ranked_combos(draw):
 @given(ranked_combos(), st.integers(0, 5))
 def test_combo_expansion_matches_the_product(case, n):
     combo, g = case
-    assert combo_magnus(combo, n, g) == reference_magnus(combo, n)
+    assert magnus(combo, n, g) == reference_magnus(combo, n)
 
 
 @settings(deadline=None)
@@ -263,7 +262,7 @@ def test_combo_expansion_cancels_free_reductions(combo, n):
     cancelling = combine(
         itertools.chain(combo.items(), ((reduce_word(w), -c) for w, c in combo.items()))
     )
-    assert combo_magnus(cancelling, n) == {}
+    assert magnus(cancelling, n) == {}
     assert expansion(cancelling, n, 3) == [0] * len(monomial_index(n, 3).monomials)
 
 
@@ -272,7 +271,7 @@ def test_expansion_rejects_bad_exponents_and_ranks():
         bad = ((1, 1), (2, e))
         for g in (None, 2):
             with pytest.raises(ValueError, match=f"letter exponent must be \\+-1, got {e}"):
-                combo_magnus({((1, -1),): 1, bad: 1}, 3, g)
+                magnus({((1, -1),): 1, bad: 1}, 3, g)
         with pytest.raises(ValueError, match=f"letter exponent must be \\+-1, got {e}"):
             expansion({bad: 0}, 3, 2)  # a zero coefficient is still read
     with pytest.raises(ValueError, match="generator 3 out of range for rank 2"):
@@ -305,7 +304,7 @@ def test_positivize_rejects_exponents_other_than_units():
 def test_positivize_postcondition(w, n):
     combo = positivize(w, n)
     assert all(is_positive(u) for u in combo)
-    assert combo_magnus(combo, n) == magnus(w, n)
+    assert magnus(combo, n) == magnus(w, n)
 
 
 # ---------------------------------------------------------------------------
