@@ -36,10 +36,16 @@ no unit left is scanned for its least entry, and only a non-unit pivot
 needs the divisibility repair.
 
 Ranks and torsion in every degree need no coordinates.  `homology_groups`
-reads them from the invariant factors of each boundary, which
-`invariant_factors` finds on the stored sparse columns: it eliminates on a
-±1 entry of each column in turn, each of which splits off a factor 1, and
-hands whatever no unit pivoted to `_snf`, as the rows of its transpose.
+reads them from the invariant factors of each boundary's transpose, the
+coboundary δ^(d-1) = ∂_dᵀ, whose columns are the rows of ∂_d that
+`wedge.by_rows` gives.  It reduces δ^0, δ^1, …, δ^n in that order with
+clearing (de Silva, Morozov and Vejdemo-Johansson, 2011; Bauer, Kerber
+and Reininghaus, 2014): a column of δ^(d-1) whose (d-1)-cell was the pivot
+row of a unit pivot of δ^(d-2) is an integer combination of the kept
+columns, so it is skipped unread.  `invariant_factors` eliminates on a ±1
+entry of each kept column in turn, each of which splits off a factor 1,
+reports the rows those pivots used, and hands whatever no unit pivoted to
+`_snf`, as the rows of its transpose.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import heapq
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Collection, Iterable, Protocol, Sequence
 
 from .wedge import Column, by_rows
 from .words import combine
@@ -269,22 +275,27 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     )
 
 
-def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
+def invariant_factors(
+    columns: Sequence[Column], nrows: int, cleared: Collection[int] = frozenset()
+) -> tuple[list[int], set[int]]:
     """The nonzero Smith diagonal, in order, of the matrix with nrows rows
-    and the given sparse columns.
+    and the given sparse columns, less the columns in `cleared`, and the
+    rows its unit pivots used.
 
     A ±1 entry splits off a factor 1: clearing its row from the other
     columns leaves the matrix with that row and column removed.  Each
     column in turn pivots on its first unit, if it has one; what no unit
     pivoted goes, compacted, through `_snf`.  The factors do not depend on
-    the pivot order.
+    the pivot order.  A column whose index is in `cleared` is skipped
+    unread; `homology_groups` clears only columns that are integer
+    combinations of the others, which leaves the factors unchanged.
     """
-    cols = [dict(column) for column in columns]
+    cols = [{} if j in cleared else dict(column) for j, column in enumerate(columns)]
     rows: list[set[int]] = [set() for _ in range(nrows)]  # row -> its columns
     for j, col in enumerate(cols):
         for r in col:
             rows[r].add(j)
-    factors = []
+    pivots = set()
     for j, pivot in enumerate(cols):
         r = next((r for r, x in pivot.items() if x in (1, -1)), None)
         if r is None:
@@ -302,31 +313,50 @@ def invariant_factors(columns: Sequence[Column], nrows: int) -> list[int]:
         for s in pivot:
             rows[s].discard(j)
         cols[j] = {}
-        factors.append(1)
+        pivots.add(r)
     # the transpose has the same factors: each leftover column is a row
     left = [col for col in cols if col]
     index = {r: i for i, r in enumerate(sorted(set().union(*left)))}
     d, _ = _snf([((index[r], x) for r, x in col.items()) for col in left], len(left), len(index))
+    factors = [1] * len(pivots)
     factors.extend(d[i][i] for i in range(min(len(left), len(index))) if i in d[i])
-    return factors
+    return factors, pivots
 
 
 def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     """(rank, torsion) of the homology at each degree 0..n, from the
-    invariant factors of each boundary, computed once: rank H_d is
-    dim C_d - r_d - r_(d+1) for boundary ranks r, and the torsion of H_d is
-    the factors of the degree-(d+1) boundary above 1.  First every column
-    of each ∂_(d+1) must have zero image under ∂_d, or the boundaries do
-    not form a chain complex."""
+    invariant factors of each boundary: rank H_d is dim C_d - r_d - r_(d+1)
+    for boundary ranks r, and the torsion of H_d is the factors of the
+    degree-(d+1) boundary above 1.  First every column of each ∂_(d+1)
+    must have zero image under ∂_d, or the boundaries do not form a chain
+    complex.
+
+    The factors are those of the coboundaries δ^(d-1) = ∂_dᵀ, which has the
+    same Smith form, reduced for d = 1, ..., n+1 in that order with
+    clearing (de Silva, Morozov and Vejdemo-Johansson, Inverse Problems 27,
+    2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014): a
+    column of δ^(d-1), one per (d-1)-cell, is skipped when that cell was
+    the pivot row of a unit pivot of δ^(d-2).  Each reduced pivot column of
+    δ^(d-2) is a coboundary, hence a cocycle, with ±1 at its pivot row and
+    0 at every earlier one; restricted to the pivot rows these cocycles
+    are unit-triangular, so each pivot row's unit cochain is an integer
+    combination of cocycles plus a cochain on the other rows.  Its column
+    of δ^(d-1) is therefore an integer combination of the kept columns,
+    and skipping it leaves the factors over Z unchanged.  That needs
+    δδ = 0, which is why the check comes first.
+    """
     n = cx.n
     for d in range(1, n + 1):  # each column of the product of d and d + 1
         below = cx.boundaries[d]
         for column in cx.boundaries[d + 1]:
             if not zero_image(below, column):
                 raise ValueError("not a chain complex: consecutive boundaries do not vanish")
-    factors = [[]] + [
-        invariant_factors(cx.boundaries[d], cx.rank(d - 1)) for d in range(1, n + 2)
-    ]
+    factors: list[list[int]] = [[]]
+    cleared: set[int] = set()
+    for d in range(1, n + 2):  # δ^(d-1): a column per row of ∂_d
+        coboundary = by_rows(cx.boundaries[d], cx.rank(d - 1))
+        found, cleared = invariant_factors(coboundary, cx.rank(d), cleared)
+        factors.append(found)
     return [
         (
             cx.rank(d) - len(factors[d]) - len(factors[d + 1]),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from dataclasses import astuple, dataclass, field
 from functools import lru_cache
@@ -863,7 +865,8 @@ def test_invariant_factors_match_reference_on_seeded_matrices(remainders):
     for a in matrices:
         nrows = len(a)
         ncols = len(a[0]) if nrows else 0
-        assert invariant_factors(columns_of(a, ncols), nrows) == reference_factors(a, nrows, ncols)
+        factors, _ = invariant_factors(columns_of(a, ncols), nrows)
+        assert factors == reference_factors(a, nrows, ncols)
     assert sum(1 for r, c in remainders if r and c) > 100  # the Smith remainder ran
 
 
@@ -886,7 +889,8 @@ def test_invariant_factors_match_reference_property(remainders):
     def check(a):
         nrows = len(a)
         ncols = len(a[0]) if nrows else 0
-        assert invariant_factors(columns_of(a, ncols), nrows) == reference_factors(a, nrows, ncols)
+        factors, _ = invariant_factors(columns_of(a, ncols), nrows)
+        assert factors == reference_factors(a, nrows, ncols)
 
     check()
     assert any(r and c for r, c in remainders)
@@ -896,14 +900,16 @@ def test_invariant_factors_split_off_units_before_the_remainder(remainders):
     # the one unit clears its row and column, leaving [[2, 4], [6, 8]],
     # whose invariant factors are 2 and 4
     a = [[1, 5, 7], [3, 17, 25], [0, 6, 8]]
-    assert invariant_factors(columns_of(a, 3), 3) == [1, 2, 4]
+    assert invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], {0})
     assert remainders == [(2, 2)]
 
 
 def test_library_reductions_build_only_vinv(monkeypatch):
     """The top-degree class map and the groups of the `homology-n4` grid
-    run one reduction per boundary, of that boundary alone: no identity
-    block rides along to become U or V, and only D and Vinv come back."""
+    run one reduction per boundary: for the class map, of the boundary
+    alone; for the groups, of whatever no unit pivoted in its coboundary,
+    even when that is nothing.  No identity block rides along to become U
+    or V, and only D and Vinv come back."""
     bare = []
 
     def spy(rows, nrows, ncols):
@@ -965,3 +971,150 @@ def test_homology_groups_reject_exactly_nonzero_products_on_random_pairs():
         outcomes.append(bad)
     assert 50 < sum(outcomes) < 250  # both verdicts are exercised
     assert torsion > 0
+
+
+# ---------------------------------------------------------------------------
+# Coboundaries with clearing, against the pass without clearing.
+# ---------------------------------------------------------------------------
+
+
+def groups_without_clearing(cx) -> list[tuple[int, tuple[int, ...]]]:
+    """The groups from each boundary's own invariant factors, on its stored
+    columns with nothing cleared."""
+    factors = [[]] + [
+        invariant_factors(cx.boundaries[d], cx.rank(d - 1))[0] for d in range(1, cx.n + 2)
+    ]
+    return [
+        (cx.rank(d) - len(factors[d]) - len(factors[d + 1]),
+         tuple(x for x in factors[d + 1] if x > 1))
+        for d in range(cx.n + 1)
+    ]
+
+
+def chain_ranks(factors, free) -> list[int]:
+    """The ranks of C_0..C_m for `complex_with_groups`."""
+    r = [0, *map(len, factors), 0]  # r[d]: the rank of ∂_d
+    return [r[d] + r[d + 1] + free[d] for d in range(len(factors) + 1)]
+
+
+def complex_with_groups(factors, free, ops):
+    """Dense boundaries with known homology: ∂_d, for d = 1..m, has the
+    divisibility chain factors[d - 1] as its Smith diagonal, and H_d has
+    free rank free[d].  C_d starts as the cells ∂_d maps onto a multiple of
+    a cell, then the cells ∂_(d+1) hits, then the free ones; each
+    elementary operation (i, j, q) of ops[d], i != j, then changes the
+    basis of C_d by I + q e_ij, which keeps ∂_d ∂_(d+1) = 0.  Returns the
+    ranks and the boundaries."""
+    m = len(factors)
+    ranks = dict(enumerate(chain_ranks(factors, free)))
+    mats = {d: [[0] * ranks[d] for _ in range(ranks[d - 1])] for d in range(1, m + 1)}
+    for d in range(1, m + 1):
+        start = len(factors[d - 2]) if d > 1 else 0  # ∂_d's targets in C_(d-1)
+        for i, f in enumerate(factors[d - 1]):
+            mats[d][start + i][i] = f
+    for d in range(m + 1):
+        for i, j, q in ops[d]:
+            if i == j:
+                continue
+            if d >= 1:  # ∂_d (I - q e_ij): column j less q column i
+                for row in mats[d]:
+                    row[j] -= q * row[i]
+            if d < m:  # (I + q e_ij) ∂_(d+1): row i plus q row j
+                above = mats[d + 1]
+                above[i] = [x + q * y for x, y in zip(above[i], above[j])]
+    return ranks, mats
+
+
+def divisibility_chain(steps) -> list[int]:
+    """The running products of steps: each divides the next."""
+    return list(itertools.accumulate(steps, operator.mul))
+
+
+def check_groups_with_clearing(n, factors, free, ops) -> None:
+    """On the complex `complex_with_groups` builds, read at power n, whose
+    cells stop at degree n or n + 1, `homology_groups` gives the groups the
+    construction fixes, as do the pass without clearing and the dense
+    reference."""
+    ranks, mats = complex_with_groups(factors, free, ops)
+    expected = [
+        (free[d], tuple(x for x in ([*factors, []])[d] if x > 1)) for d in range(n + 1)
+    ]
+    dense = StubComplex(ranks, mats)
+    columns = {d: columns_of(dense.dense(d), dense.rank(d)) for d in range(1, n + 2)}
+    sparse = SparseStub(n, ranks, columns)
+    groups = homology_groups(sparse)
+    assert groups == expected
+    assert groups == groups_without_clearing(sparse)
+    assert groups == [
+        (oracles.homology(dense, d).rank, oracles.homology(dense, d).torsion) for d in range(n + 1)
+    ]
+
+
+@pytest.fixture
+def cleared(monkeypatch) -> list[int]:
+    """How many columns each coboundary `homology_groups` reduces skips."""
+    counts = []
+
+    def spy(columns, nrows, skip=frozenset()):
+        counts.append(len(skip))
+        return invariant_factors(columns, nrows, skip)
+
+    monkeypatch.setattr("loophom.homology.invariant_factors", spy)
+    return counts
+
+
+def test_homology_groups_with_clearing_match_on_seeded_complexes(cleared, remainders):
+    rng = random.Random(2011)
+    for _ in range(200):
+        m = rng.randint(3, 4)
+        factors = [
+            divisibility_chain(rng.choice((1, 1, 1, 2, 3)) for _ in range(rng.randint(0, 3)))
+            for _ in range(m)
+        ]
+        free = [rng.randint(0, 2) for _ in range(m + 1)]
+        ops = [
+            [(rng.randrange(c), rng.randrange(c), rng.choice((1, -1, 2))) for _ in range(2 * c)]
+            for c in chain_ranks(factors, free)
+        ]
+        check_groups_with_clearing(m - rng.randint(0, 1), factors, free, ops)
+    assert sum(cleared) > 0  # clearing skipped columns
+    assert any(r and c for r, c in remainders)  # and left torsion to `_snf`
+
+
+@st.composite
+def complexes_with_groups(draw):
+    m = draw(st.integers(3, 4))
+    factors = [
+        divisibility_chain(draw(st.lists(st.sampled_from((1, 1, 2, 3)), max_size=3)))
+        for _ in range(m)
+    ]
+    free = draw(st.lists(st.integers(0, 2), min_size=m + 1, max_size=m + 1))
+    ops = [
+        draw(st.lists(
+            st.tuples(st.integers(0, c - 1), st.integers(0, c - 1), st.sampled_from((1, -1, 2))),
+            max_size=2 * c,
+        )) if c else []
+        for c in chain_ranks(factors, free)
+    ]
+    return m - draw(st.integers(0, 1)), factors, free, ops
+
+
+def test_homology_groups_with_clearing_match_property(cleared, remainders):
+    @settings(max_examples=200, deadline=None)
+    @given(complexes_with_groups())
+    def check(case):
+        check_groups_with_clearing(*case)
+
+    check()
+    assert sum(cleared) > 0
+    assert any(r and c for r, c in remainders)
+
+
+@pytest.mark.parametrize("n, g", [(4, 3), (5, 2)])
+def test_homology_groups_past_the_grid(n, g):
+    """Past `HOMOLOGY_PINS`: H_d = 0 below n and H_n = Z^(g + ... + g^n),
+    as the pass without clearing also finds."""
+    cx = build_pair_complex(n, g)
+    groups = homology_groups(cx)
+    assert groups == [(0, ())] * n + [(sum(g**k for k in range(1, n + 1)), ())]
+    assert groups == groups_without_clearing(cx)
