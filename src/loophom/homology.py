@@ -25,9 +25,10 @@ its input and the operations carry along.
 
 Boundaries are mostly zeros and units, and no dense matrix is built:
 `homology` reads only the chain ranks and the stored sparse columns of ∂,
-which `wedge.by_rows` buckets into the rows `_snf` starts from.  `_snf`
-keeps each row of D and V^-1 as a dict of its nonzeros, summed through
-`words.combine`, and makes exactly the dense reduction's steps
+entering each nonzero once into the dict rows that `_snf` reduces in
+place.  `_snf` keeps each row of D and V^-1 as a dict of its nonzeros,
+summed through `words.combine`, and makes exactly the dense reduction's
+steps
 (`tests/oracles.py` keeps that one): an index from each column to the
 rows with an entry there names the rows an operation touches, and a heap
 holds every row position that may hold a unit.  1 is the least |entry|,
@@ -36,16 +37,13 @@ no unit left is scanned for its least entry, and only a non-unit pivot
 needs the divisibility repair.
 
 Ranks and torsion in every degree need no coordinates.  `homology_groups`
-reads them from the invariant factors of each boundary's transpose, the
-coboundary δ^(d-1) = ∂_dᵀ, whose columns are the rows of ∂_d that
-`wedge.by_rows` gives.  It reduces δ^0, δ^1, …, δ^n in that order with
-clearing (de Silva, Morozov and Vejdemo-Johansson, 2011; Bauer, Kerber
-and Reininghaus, 2014): a column of δ^(d-1) whose (d-1)-cell was the pivot
-row of a unit pivot of δ^(d-2) is an integer combination of the kept
-columns, so it is skipped unread.  `invariant_factors` eliminates on a ±1
-entry of each kept column in turn, each of which splits off a factor 1,
-reports the rows those pivots used, and hands whatever no unit pivoted to
-`_snf`, as the rows of its transpose.
+reads them from the invariant factors of each boundary ∂_d, those of the
+coboundary δ^(d-1) = ∂_dᵀ, in ascending degree with clearing (de Silva,
+Morozov and Vejdemo-Johansson, 2011; Bauer, Kerber and Reininghaus, 2014).
+`invariant_factors` builds the rows of ∂_d as stored, the columns of
+δ^(d-1), in one pass, never building one that an earlier unit pivot made
+redundant; each ±1 pivot splits off a factor 1, and whatever no unit
+pivoted goes to `_snf`.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Collection, Iterable, Protocol, Sequence
 
-from .wedge import Column, by_rows
+from .wedge import Column
 from .words import combine
 
 
@@ -102,13 +100,13 @@ def _pivot(d: list[dict[int, int]], heap: list[int], t: int, nrows: int, ncols: 
     return None if best is None else best[1:]
 
 
-def _snf(rows: Iterable[Iterable[tuple[int, int]]], nrows: int, ncols: int):
-    """Reduce the leading nrows x ncols block of the matrix with these rows,
-    each as (column, entry) pairs, to Smith form: returns (D, Vinv), each as
-    {column: entry} rows that store no zero.  Only the block is searched and
-    tested; rows and columns past it ride along, which is how
+def _snf(rows: list[dict[int, int]], nrows: int, ncols: int):
+    """Reduce the leading nrows x ncols block of the matrix with these
+    {column: entry} rows, storing no zero, to Smith form in place: returns
+    (D, Vinv), D being `rows` and Vinv also such rows.  Only the block is
+    searched and tested; rows and columns past it ride along, which is how
     `smith_normal_form` reads U and V."""
-    d = [combine(row) for row in rows]
+    d = rows
     vinv = [{c: 1} for c in range(ncols)]
     where: dict[int, set[int]] = defaultdict(set)  # column -> positions of its rows
     for i, row in enumerate(d):
@@ -182,8 +180,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]):
     ncols = len(a[0]) if nrows else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("matrix rows differ in length")
-    bordered = [[*enumerate(row), (ncols + i, 1)] for i, row in enumerate(a)]
-    bordered += [[(j, 1)] for j in range(ncols)]
+    bordered = [{**{c: x for c, x in enumerate(row) if x}, ncols + i: 1} for i, row in enumerate(a)]
+    bordered += [{j: 1} for j in range(ncols)]
     d = [[row.get(c, 0) for c in range(ncols + nrows)] for row in _snf(bordered, nrows, ncols)[0]]
     return (
         [row[ncols:] for row in d[:nrows]],
@@ -253,19 +251,30 @@ class HomologySummary:
         return tuple(coords)
 
 
+def _boundary(cx: ChainComplexLike, d: int) -> tuple[Sequence[Column], int]:
+    """The stored columns of ∂_d, one per d-cell, and its number of rows,
+    once every row index is checked to lie in [0, rows)."""
+    nd = cx.rank(d)
+    below = cx.rank(d - 1) if d >= 1 else 0
+    columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
+    if len(columns) != nd or any(not 0 <= r < below for column in columns for r, _ in column):
+        raise ValueError("boundary matrix at d has the wrong shape")
+    return columns, below
+
+
 def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     """Homology of the complex at a degree d with no cells above it, with
     projection data: there H_d is the cycle group, free of rank
     dim C_d - rank of the boundary leaving d."""
     if cx.rank(d + 1):
         raise ValueError(f"degree {d} has cells above it: coordinates need C_{d + 1} = 0")
-    nd = cx.rank(d)
-    below = cx.rank(d - 1) if d >= 1 else 0
-    # below degree 1 nothing constrains the cycles; a degree without cells has no columns
-    columns = cx.boundaries[d] if d >= 1 and nd else ((),) * nd
-    if len(columns) != nd or any(not 0 <= r < below for column in columns for r, _ in column):
-        raise ValueError("boundary matrix at d has the wrong shape")
-    dd, vinv = _snf(by_rows(columns, below), below, nd)
+    columns, below = _boundary(cx, d)
+    nd = len(columns)
+    rows: list[dict[int, int]] = [{} for _ in range(below)]
+    for c, column in enumerate(columns):
+        for r, x in column:
+            rows[r][c] = x
+    dd, vinv = _snf(rows, below, nd)
     rank = nd - sum(1 for i in range(min(below, nd)) if i in dd[i])
     return HomologySummary(
         degree=d,
@@ -279,45 +288,47 @@ def invariant_factors(
     columns: Sequence[Column], nrows: int, cleared: Collection[int] = frozenset()
 ) -> tuple[list[int], set[int]]:
     """The nonzero Smith diagonal, in order, of the matrix with nrows rows
-    and the given sparse columns, less the columns in `cleared`, and the
-    rows its unit pivots used.
+    and the given sparse columns, less the rows in `cleared`, and the
+    columns its unit pivots used.
 
-    A ±1 entry splits off a factor 1: clearing its row from the other
-    columns leaves the matrix with that row and column removed.  Each
-    column in turn pivots on its first unit, if it has one; what no unit
-    pivoted goes, compacted, through `_snf`.  The factors do not depend on
-    the pivot order.  A column whose index is in `cleared` is skipped
-    unread; `homology_groups` clears only columns that are integer
-    combinations of the others, which leaves the factors unchanged.
+    A ±1 entry splits off a factor 1: clearing its column from the other
+    rows leaves the matrix with that row and column removed.  One pass over
+    the columns builds each row not in `cleared` as a {column: entry} dict,
+    and each column's set of rows.  Each row in turn pivots on its first
+    unit, if it has one; what no unit pivoted goes, compacted, through
+    `_snf`.  The factors do not depend on the pivot order, and
+    `homology_groups` clears only rows that are integer combinations of the
+    others, which leaves them unchanged.
     """
-    cols = [{} if j in cleared else dict(column) for j, column in enumerate(columns)]
-    rows: list[set[int]] = [set() for _ in range(nrows)]  # row -> its columns
-    for j, col in enumerate(cols):
-        for r in col:
-            rows[r].add(j)
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    support: list[set[int]] = [set() for _ in columns]  # column -> its rows
+    for c, column in enumerate(columns):
+        for r, x in column:
+            if r not in cleared:
+                rows[r][c] = x
+                support[c].add(r)
     pivots = set()
-    for j, pivot in enumerate(cols):
-        r = next((r for r, x in pivot.items() if x in (1, -1)), None)
-        if r is None:
+    for i, pivot in enumerate(rows):
+        c = next((c for c, x in pivot.items() if x in (1, -1)), None)
+        if c is None:
             continue
-        p = pivot[r]
-        for k in rows[r] - {j}:
-            old = cols[k]
-            q = old[r] * p  # old[r] / p, as p is a unit
+        p = pivot[c]
+        for k in support[c] - {i}:
+            old = rows[k]
+            q = old[c] * p  # old[c] / p, as p is a unit
             new = combine(itertools.chain(old.items(), ((s, -q * x) for s, x in pivot.items())))
             for s in old.keys() - new.keys():
-                rows[s].discard(k)
+                support[s].discard(k)
             for s in new.keys() - old.keys():
-                rows[s].add(k)
-            cols[k] = new
+                support[s].add(k)
+            rows[k] = new
         for s in pivot:
-            rows[s].discard(j)
-        cols[j] = {}
-        pivots.add(r)
-    # the transpose has the same factors: each leftover column is a row
-    left = [col for col in cols if col]
-    index = {r: i for i, r in enumerate(sorted(set().union(*left)))}
-    d, _ = _snf([((index[r], x) for r, x in col.items()) for col in left], len(left), len(index))
+            support[s].discard(i)
+        rows[i] = {}
+        pivots.add(c)
+    left = [row for row in rows if row]
+    index = {c: j for j, c in enumerate(sorted(set().union(*left)))}
+    d, _ = _snf([{index[c]: x for c, x in row.items()} for row in left], len(left), len(index))
     factors = [1] * len(pivots)
     factors.extend(d[i][i] for i in range(min(len(left), len(index))) if i in d[i])
     return factors, pivots
@@ -327,16 +338,16 @@ def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     """(rank, torsion) of the homology at each degree 0..n, from the
     invariant factors of each boundary: rank H_d is dim C_d - r_d - r_(d+1)
     for boundary ranks r, and the torsion of H_d is the factors of the
-    degree-(d+1) boundary above 1.  First every column of each ∂_(d+1)
-    must have zero image under ∂_d, or the boundaries do not form a chain
-    complex.
+    degree-(d+1) boundary above 1.  First every boundary must have the
+    shape the chain ranks give it, and every column of each ∂_(d+1) zero
+    image under ∂_d, or the boundaries do not form a chain complex.
 
     The factors are those of the coboundaries δ^(d-1) = ∂_dᵀ, which has the
     same Smith form, reduced for d = 1, ..., n+1 in that order with
     clearing (de Silva, Morozov and Vejdemo-Johansson, Inverse Problems 27,
     2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014): a
-    column of δ^(d-1), one per (d-1)-cell, is skipped when that cell was
-    the pivot row of a unit pivot of δ^(d-2).  Each reduced pivot column of
+    row of ∂_d, a column of δ^(d-1), is skipped when its (d-1)-cell was the
+    pivot row of a unit pivot of δ^(d-2).  Each reduced pivot column of
     δ^(d-2) is a coboundary, hence a cocycle, with ±1 at its pivot row and
     0 at every earlier one; restricted to the pivot rows these cocycles
     are unit-triangular, so each pivot row's unit cochain is an integer
@@ -346,16 +357,15 @@ def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:
     δδ = 0, which is why the check comes first.
     """
     n = cx.n
-    for d in range(1, n + 1):  # each column of the product of d and d + 1
-        below = cx.boundaries[d]
-        for column in cx.boundaries[d + 1]:
+    stored = [_boundary(cx, d) for d in range(n + 2)]  # (columns, rows) of ∂_0..∂_(n+1)
+    for (below, _), (above, _) in zip(stored[1:], stored[2:]):  # ∂_d ∂_(d+1), d = 1..n
+        for column in above:
             if not zero_image(below, column):
                 raise ValueError("not a chain complex: consecutive boundaries do not vanish")
     factors: list[list[int]] = [[]]
     cleared: set[int] = set()
-    for d in range(1, n + 2):  # δ^(d-1): a column per row of ∂_d
-        coboundary = by_rows(cx.boundaries[d], cx.rank(d - 1))
-        found, cleared = invariant_factors(coboundary, cx.rank(d), cleared)
+    for columns, nrows in stored[1:]:  # δ^(d-1), eliminated on the rows of ∂_d
+        found, cleared = invariant_factors(columns, nrows, cleared)
         factors.append(found)
     return [
         (

@@ -27,9 +27,9 @@ and, within a generator, jumps descending.
 
 Boundaries are almost all zeros (0.16% nonzero at n=4, g=3), so each is
 stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
-nonzeros per basis cell.  No dense matrix is ever built: `by_rows` buckets
-the columns by row for the Smith reduction in `homology`, and
-`PairComplex.boundary_matrix` the export's triplets straight from them.
+nonzeros per basis cell.  No dense matrix is ever built: the reductions in
+`homology` read the columns as stored, and `PairComplex.boundary_matrix`
+buckets the export's triplets by row straight from them.
 A face of a product simplex is taken componentwise, and a circle cell has
 few faces: `face_tables` lists face i of each of the g·d + 1 cells of
 dimension d once, so that assembling a boundary is table lookups rather
@@ -40,7 +40,7 @@ precomputed coface lookups of Bauer's Ripser).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .words import LETTER_POOL, combine
 
@@ -123,17 +123,6 @@ def enumerate_basis(n: int, g: int, d: int) -> list[Simplex]:
 
     walk((), frozenset(range(1, d + 1)))
     return out
-
-
-def by_rows(columns: Sequence[Column], nrows: int) -> list[list[tuple[int, int]]]:
-    """The rows of the nrows-row matrix with these sparse columns: each row's
-    ``(column, entry)`` nonzeros, in column order since the columns are
-    read in order.  Every row index must lie in [0, nrows)."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
-    for c, column in enumerate(columns):
-        for r, x in column:
-            rows[r].append((c, x))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ def sparse_rows(a) -> tuple[tuple[tuple[int, int], ...], ...]:
 def snf_outputs(a, nrows: int, ncols: int):
     """`smith_normal_form`'s (U, D, V) with `_snf`'s Vinv, after checking
     that `_snf` gives the same D; they must equal `reference_snf`'s
-    (U, D, V, Vinv).  `_snf` reads and returns sparse rows, written out
-    densely here.  A matrix with no rows has no width to give
-    `smith_normal_form`, which reads it as 0 x 0."""
+    (U, D, V, Vinv).  `_snf` reduces fresh {column: entry} rows in place
+    and returns such rows, written out densely here.  A matrix with no rows
+    has no width to give `smith_normal_form`, which reads it as 0 x 0."""
     d, vinv = (
         [[row.get(c, 0) for c in range(ncols)] for row in rows]
-        for rows in _snf(sparse_rows(a), nrows, ncols)
+        for rows in _snf([dict(row) for row in sparse_rows(a)], nrows, ncols)
     )
     if not nrows:
         assert smith_normal_form(a) == ([], [], [])
@@ -897,11 +897,27 @@ def test_invariant_factors_match_reference_property(remainders):
 
 
 def test_invariant_factors_split_off_units_before_the_remainder(remainders):
-    # the one unit clears its row and column, leaving [[2, 4], [6, 8]],
-    # whose invariant factors are 2 and 4
-    a = [[1, 5, 7], [3, 17, 25], [0, 6, 8]]
-    assert invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], {0})
+    # the one unit, at row 1 and column 2, clears its row and column,
+    # leaving [[2, 4], [6, 8]], whose invariant factors are 2 and 4; the
+    # set names the pivot's column
+    a = [[23, 39, 7], [3, 5, 1], [12, 18, 2]]
+    assert invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], {2})
     assert remainders == [(2, 2)]
+
+
+def test_invariant_factors_skip_the_cleared_rows(remainders):
+    """The factors with rows cleared are those of the matrix with those
+    rows zeroed, and each returned column split off one factor 1."""
+    rng = random.Random(2014)
+    for _ in range(1000):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+        a = random_sparse_matrix(rng, nrows, ncols)
+        cleared = {r for r in range(nrows) if rng.random() < 0.3}
+        zeroed = [[0] * ncols if r in cleared else row for r, row in enumerate(a)]
+        factors, pivots = invariant_factors(columns_of(a, ncols), nrows, cleared)
+        assert factors == reference_factors(zeroed, nrows, ncols)
+        assert pivots <= set(range(ncols)) and len(pivots) <= factors.count(1)
+    assert sum(1 for r, c in remainders if r and c) > 100
 
 
 def test_library_reductions_build_only_vinv(monkeypatch):
@@ -913,8 +929,7 @@ def test_library_reductions_build_only_vinv(monkeypatch):
     bare = []
 
     def spy(rows, nrows, ncols):
-        rows = [list(row) for row in rows]
-        bare.append(len(rows) == nrows and all(c < ncols for row in rows for c, _ in row))
+        bare.append(len(rows) == nrows and all(c < ncols for row in rows for c in row))
         d, vinv = _snf(rows, nrows, ncols)
         assert (len(d), len(vinv)) == (nrows, ncols)
         return d, vinv
@@ -971,6 +986,25 @@ def test_homology_groups_reject_exactly_nonzero_products_on_random_pairs():
         outcomes.append(bad)
     assert 50 < sum(outcomes) < 250  # both verdicts are exercised
     assert torsion > 0
+
+
+WRONG_SHAPES = [
+    # a row index below 0, which list indexing would wrap to row 1
+    (SparseStub(1, {0: 2, 1: 1}, {1: [((-1, 1),)], 2: []}), 1),
+    # a row index at rank(d - 1)
+    (SparseStub(1, {0: 2, 1: 1}, {1: [((2, 1),)], 2: []}), 1),
+    # one column for two cells
+    (SparseStub(1, {0: 2, 1: 2}, {1: [((0, 1),)], 2: []}), 1),
+    # a row past rank(1) in ∂_2, which the ∂∂ = 0 test would index by
+    (SparseStub(1, {0: 1, 1: 1, 2: 1}, {1: [()], 2: [((5, 1),)]}), 2),
+]
+
+
+@pytest.mark.parametrize("cx, d", WRONG_SHAPES)
+def test_both_entry_points_reject_a_boundary_of_the_wrong_shape(cx, d):
+    for read in (lambda: homology(cx, d), lambda: homology_groups(cx)):
+        with pytest.raises(ValueError, match="boundary matrix at d has the wrong shape"):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -1113,8 +1147,10 @@ def test_homology_groups_with_clearing_match_property(cleared, remainders):
 @pytest.mark.parametrize("n, g", [(4, 3), (5, 2)])
 def test_homology_groups_past_the_grid(n, g):
     """Past `HOMOLOGY_PINS`: H_d = 0 below n and H_n = Z^(g + ... + g^n),
-    as the pass without clearing also finds."""
+    as the pass without clearing also finds, and `homology()`, which reads
+    the stored columns into its rows on its own, gives the same top rank."""
     cx = build_pair_complex(n, g)
     groups = homology_groups(cx)
     assert groups == [(0, ())] * n + [(sum(g**k for k in range(1, n + 1)), ())]
     assert groups == groups_without_clearing(cx)
+    assert homology(cx, n).rank == groups[n][0]
