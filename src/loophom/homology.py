@@ -40,10 +40,13 @@ Ranks and torsion in every degree need no coordinates.  `homology_groups`
 reads them from the invariant factors of each boundary ∂_d, those of the
 coboundary δ^(d-1) = ∂_dᵀ, in ascending degree with clearing (de Silva,
 Morozov and Vejdemo-Johansson, 2011; Bauer, Kerber and Reininghaus, 2014).
-`invariant_factors` builds the rows of ∂_d as stored, the columns of
-δ^(d-1), in one pass, never building one that an earlier unit pivot made
-redundant; each ±1 pivot splits off a factor 1, and whatever no unit
-pivoted goes to `_snf`.
+`invariant_factors` builds the rows of ∂_d, the columns of δ^(d-1), in one
+pass over the stored columns, never building one that an earlier unit
+pivot made redundant, and reduces them lazily against a map from pivot
+cells to stored rows, as Ripser reduces its coboundaries (Bauer 2021;
+Zomorodian and Carlsson, 2005): a row changes only while it is reduced,
+each row stored under a ±1 pivot splits off a factor 1, and whatever no
+unit pivoted goes to `_snf`.
 """
 
 from __future__ import annotations
@@ -284,6 +287,14 @@ def homology(cx: ChainComplexLike, d: int) -> HomologySummary:
     )
 
 
+def _reduce(row: dict[int, int], c: int, pivot: dict[int, int]) -> dict[int, int]:
+    """Row less the multiple of a stored pivot row that zeroes its entry at
+    the pivot's cell c, where the pivot is ±1, so that no division is
+    needed."""
+    q = row[c] * pivot[c]  # row[c] / pivot[c], as the pivot is a unit
+    return combine(itertools.chain(row.items(), ((s, -q * x) for s, x in pivot.items())))
+
+
 def invariant_factors(
     columns: Sequence[Column], nrows: int, cleared: Collection[int] = frozenset()
 ) -> tuple[list[int], set[int]]:
@@ -291,47 +302,53 @@ def invariant_factors(
     and the given sparse columns, less the rows in `cleared`, and the
     columns its unit pivots used.
 
-    A ±1 entry splits off a factor 1: clearing its column from the other
-    rows leaves the matrix with that row and column removed.  One pass over
-    the columns builds each row not in `cleared` as a {column: entry} dict,
-    and each column's set of rows.  Each row in turn pivots on its first
-    unit, if it has one; what no unit pivoted goes, compacted, through
-    `_snf`.  The factors do not depend on the pivot order, and
-    `homology_groups` clears only rows that are integer combinations of the
-    others, which leaves them unchanged.
+    One pass over the columns builds each row not in `cleared` as a
+    {column: entry} dict.  The rows are then reduced in order, each on its
+    own: while its least entry sits on a stored pivot, that pivot's row is
+    subtracted.  A row left with ±1 at its least entry is stored under that
+    column, a zero row is dropped, and any other row is set aside.  At the
+    end each set-aside row is reduced against every stored pivot, which
+    leaves it zero on the pivot columns.  The stored rows are
+    unit-triangular on their pivot columns, so column operations clear
+    their other entries without touching the set-aside rows, and each
+    splits off one factor 1; the set-aside rows hold the rest and go,
+    compacted, through `_snf`.  Every step subtracts a multiple of one row
+    from another, so the factors are those of the matrix, and
+    `homology_groups` clears only rows that are integer combinations of
+    the others, which leaves them unchanged.
     """
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    support: list[set[int]] = [set() for _ in columns]  # column -> its rows
     for c, column in enumerate(columns):
         for r, x in column:
             if r not in cleared:
                 rows[r][c] = x
-                support[c].add(r)
-    pivots = set()
-    for i, pivot in enumerate(rows):
-        c = next((c for c, x in pivot.items() if x in (1, -1)), None)
-        if c is None:
-            continue
-        p = pivot[c]
-        for k in support[c] - {i}:
-            old = rows[k]
-            q = old[c] * p  # old[c] / p, as p is a unit
-            new = combine(itertools.chain(old.items(), ((s, -q * x) for s, x in pivot.items())))
-            for s in old.keys() - new.keys():
-                support[s].discard(k)
-            for s in new.keys() - old.keys():
-                support[s].add(k)
-            rows[k] = new
-        for s in pivot:
-            support[s].discard(i)
-        rows[i] = {}
-        pivots.add(c)
-    left = [row for row in rows if row]
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> its stored row
+    aside = []
+    for row in rows:
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                if row[c] in (1, -1):
+                    pivots[c] = row
+                else:
+                    aside.append(row)
+                break
+            row = _reduce(row, c, pivot)
+    left = []
+    for row in aside:
+        # a pivot row is zero before its column: going up the columns, no
+        # step brings back one that an earlier step cleared
+        while hits := [c for c in row if c in pivots]:
+            c = min(hits)
+            row = _reduce(row, c, pivots[c])
+        if row:
+            left.append(row)
     index = {c: j for j, c in enumerate(sorted(set().union(*left)))}
     d, _ = _snf([{index[c]: x for c, x in row.items()} for row in left], len(left), len(index))
     factors = [1] * len(pivots)
     factors.extend(d[i][i] for i in range(min(len(left), len(index))) if i in d[i])
-    return factors, pivots
+    return factors, set(pivots)
 
 
 def homology_groups(cx: ChainComplexLike) -> list[tuple[int, tuple[int, ...]]]:

@@ -15,13 +15,13 @@ every slot, i.e. {jumps} contains [1, d].  The subspace quotiented
 out (written Y here) is the union of: first component at the basepoint,
 last component at the basepoint, and two consecutive components equal.
 Chain groups are spanned by the nondegenerate simplices outside Y.
-`enumerate_basis` walks only those cells, and it is the one place that
-states the rule: everywhere else a cell is in the spanning set exactly
-when the basis index finds it, so the boundary drops the faces and
-`transform.push_chain_vector` the pushed cells that it does not find.
-`in_Y` restates Y as a predicate.  No library code calls it; it stays
-because the benchmark's tracer (``perfbench/tracing.py``) looks it up by
-name.  The basis is listed in canonical order: lexicographic in the
+One depth-first walk per degree (`_walk`) visits exactly those cells and
+states the rule; `enumerate_basis` is that walk, and everywhere else a cell
+is in the spanning set exactly when a basis finds it, so the boundary drops
+the faces and `transform.push_chain_vector` the pushed cells that it does
+not find.  `in_Y` restates Y as a predicate.  No library code calls it; it
+stays because the benchmark's tracer (``perfbench/tracing.py``) looks it up
+by name.  The basis is listed in canonical order: lexicographic in the
 components, where the basepoint comes first, then generators ascending
 and, within a generator, jumps descending.
 
@@ -30,15 +30,23 @@ stored once, as sparse columns: one tuple of sorted ``(row, coefficient)``
 nonzeros per basis cell.  No dense matrix is ever built: the reductions in
 `homology` read the columns as stored, and `PairComplex.boundary_matrix`
 buckets the export's triplets by row straight from them.
-A face of a product simplex is taken componentwise, and a circle cell has
-few faces: `face_tables` lists face i of each of the g·d + 1 cells of
-dimension d once, so that assembling a boundary is table lookups rather
-than one `cell_face` call per component per face (the same idea as the
-precomputed coface lookups of Bauer's Ripser).
+A face of a product simplex is taken componentwise, so the faces of every
+cell below a prefix extend the faces of that prefix.  `build_pair_complex`
+walks degree d carrying, for each face index i, the node of the degree
+d-1 basis trie that face i of the current prefix leads to; a prefix whose
+face falls out of the trie leads to the empty node, and that face is absent
+from every cell below it.  A trie is keyed by the place of each circle cell
+in the canonical order of its dimension, and `cell_faces` gives the places
+of a cell's faces.  At a leaf the nodes are the faces' row indices, so each
+step of the walk costs d + 1 small-integer lookups, and no face tuple is
+built or hashed (Ripser finds cofaces by walking the cell structure in the
+same way; Bauer 2021).  The walk builds degree d's own trie for degree
+d + 1, and the one below is dropped.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,35 +102,82 @@ def _cells(g: int, d: int) -> list[Cell]:
     return cells
 
 
+def cell_faces(g: int, d: int) -> list[tuple[Cell, tuple[int, ...]]]:
+    """The g·d + 1 dimension-d cells of a rank-g wedge in canonical order,
+    each with its faces 0..d (`cell_face`) given by their places in the
+    canonical order of dimension d - 1: the face data `_walk` reads, keyed
+    as the basis tries are."""
+    place = {c: k for k, c in enumerate(_cells(g, d - 1))}
+    return [(c, tuple(place[cell_face(c, d, i)] for i in range(d + 1))) for c in _cells(g, d)]
+
+
+# a node of a basis trie: from a prefix of circle cells, the place of the
+# next cell (in the canonical order of its dimension) leads to the next
+# node, and after the last one to the cell's row index
+Trie = dict
+
+
+def _walk(n: int, g: int, d: int, below: Trie | None) -> tuple[list[Simplex], list[Column], Trie]:
+    """The degree-d basis in canonical order; with `below`, the trie of the
+    degree d-1 basis, also each cell's boundary column and the trie of the
+    degree-d basis.
+
+    The walk emits the nondegenerate cells outside Y and nothing else.  It
+    prunes a branch once the components left are too few to cover the
+    missing jumps (a bit mask), and never places the basepoint first or
+    last or a cell equal to the one before it.  Each component tries its
+    cells in canonical order, so the walk emits them sorted.  Beside the
+    prefix it carries one node of `below` per face index: where the faces
+    of the prefix lead, the empty node once a face has left the trie."""
+    basis: list[Simplex] = []
+    columns: list[Column] = []
+    trie: Trie = {}
+    if d > n:
+        return basis, columns, trie  # n components supply at most n jumps
+    cells = [(c, k, faces) for k, (c, faces) in enumerate(cell_faces(g, d))]
+    inner = [(c, k, faces, -1 if c is None else ~(1 << c[1])) for c, k, faces in cells]
+    # the cells that may close a walk, by the jumps still missing: any but
+    # the basepoint when none is, those with the one jump when one is
+    last = {0: cells[1:]}
+    for j in range(1, d + 1):
+        last[1 << j] = [cell for cell in cells[1:] if cell[0][1] == j]
+    signs = [(-1) ** i for i in range(d + 1)]
+    track = below is not None
+    empty = itertools.repeat({})
+
+    def walk(acc: Simplex, pos: int, missing: int, prev: Cell, nodes: tuple, own: Trie) -> None:
+        if pos == n - 1:
+            for c, k, faces in last.get(missing, ()):
+                if c is not prev:
+                    if track:
+                        own[k] = len(basis)
+                        rows = map(dict.get, nodes, faces)
+                        terms = [t for t in zip(rows, signs) if t[0] is not None]
+                        columns.append(tuple(sorted(combine(terms).items())))
+                    basis.append(acc + (c,))
+            return
+        room = n - pos - 1  # the components left after this one
+        for c, k, faces, keep in inner:  # the basepoint may not go first: prev is None
+            if c is prev:
+                continue
+            rest = missing & keep
+            if rest.bit_count() <= room:
+                if track:
+                    child: Trie = {}
+                    walk(acc + (c,), pos + 1, rest, c, tuple(map(dict.get, nodes, faces, empty)), child)
+                    if child:
+                        own[k] = child
+                else:
+                    walk(acc + (c,), pos + 1, rest, c, nodes, own)
+
+    walk((), 0, (1 << (d + 1)) - 2, None, (below,) * (d + 1) if track else (), trie)
+    return basis, columns, trie
+
+
 def enumerate_basis(n: int, g: int, d: int) -> list[Simplex]:
     """Basis of the relative chain group: the nondegenerate d-simplices
-    outside Y, in canonical order.
-
-    A depth-first walk that emits exactly these cells, no Y cell and no
-    degenerate one.  It prunes a branch once the components left are too
-    few to cover the missing jumps, and never places the basepoint first
-    or last or a cell equal to the one before it.  Each component tries
-    its cells in canonical order, so the walk emits them sorted."""
-    if d > n:
-        return []  # n components supply at most n jumps, too few to cover
-    cells = _cells(g, d)
-    out: list[Simplex] = []
-
-    def walk(acc: Simplex, missing: frozenset[int]) -> None:
-        pos = len(acc)
-        if pos == n:
-            out.append(acc)
-            return
-        prev = acc[-1] if acc else None  # the basepoint may not go first
-        for c in cells:
-            if c == prev or (c is None and pos == n - 1):
-                continue
-            rest = missing if c is None else missing - {c[1]}
-            if len(rest) < n - pos:  # the n-pos-1 components left can cover
-                walk(acc + (c,), rest)
-
-    walk((), frozenset(range(1, d + 1)))
-    return out
+    outside Y, in canonical order (`_walk`, tracking no faces)."""
+    return _walk(n, g, d, None)[0]
 
 
 @dataclass(frozen=True)
@@ -165,33 +220,21 @@ class PairComplex:
         return rows
 
 
-def face_tables(g: int, d: int) -> tuple[dict[Cell, Cell], ...]:
-    """For each face index i in [0, d], the map from every dimension-d cell
-    of a rank-g wedge to its face i (`cell_face`): g·d + 1 entries each."""
-    cells = _cells(g, d)
-    return tuple({c: cell_face(c, d, i) for c in cells} for i in range(d + 1))
-
-
 def build_pair_complex(n: int, g: int) -> PairComplex:
     """Bases and sparse boundary columns up to dimension n+1.
 
     A column is the alternating sum of the faces that stay in the spanning
-    set (nondegenerate, outside Y).  Face i of a simplex is its components
-    each looked up in the face-i table, and its row is that tuple looked up
-    in the index of the basis one dimension down."""
+    set (nondegenerate, outside Y).  One `_walk` per degree builds its basis
+    and columns together, reading the rows of the faces from the trie of the
+    basis one degree down, which is dropped once the degree is built."""
     if n < 1 or g < 1:
         raise ValueError("need n >= 1 and g >= 1")
-    d_max = n + 1
-    bases = [tuple(enumerate_basis(n, g, d)) for d in range(d_max + 1)]
-    boundaries: list[tuple[Column, ...]] = [()]
-    for d in range(1, d_max + 1):
-        row_of = {s: i for i, s in enumerate(bases[d - 1])}.get
-        faces = [(table.__getitem__, (-1) ** i) for i, table in enumerate(face_tables(g, d))]
-        columns = []
-        for s in bases[d]:
-            terms = [(row_of(tuple(map(face, s))), sign) for face, sign in faces]
-            column = combine([(r, sign) for r, sign in terms if r is not None])
-            columns.append(tuple(sorted(column.items())))
+    bases: list[tuple[Simplex, ...]] = []
+    boundaries: list[tuple[Column, ...]] = []
+    trie: Trie = {}  # degree -1 has no cells
+    for d in range(n + 2):
+        basis, columns, trie = _walk(n, g, d, trie)
+        bases.append(tuple(basis))
         boundaries.append(tuple(columns))
     return PairComplex(n, g, tuple(bases), tuple(boundaries))
 

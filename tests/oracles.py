@@ -20,10 +20,15 @@ images as `Fraction`s.
 `is_nondegenerate` states the jump-cover rule that the library's
 `enumerate_basis` walk builds in, the reference for the brute-force basis.
 `build_pair_complex` sums each boundary column face by face through
-`cell_face` (`boundary_of_simplex`), the reference for the library's
-assembly from per-dimension face tables.  `dense_boundary` writes a
-boundary out as the dense matrix that the library never builds, and
-`DenseView` shows a pair complex to the reference `homology` that way.
+`cell_face` (`boundary_of_simplex`), looking each face tuple up in an
+index of the basis below: the reference for the library's walk, which
+reads the rows of all faces of a cell from a trie of that basis as it
+builds the cell.  `chain_ranks` counts the cells by a closed form, with no
+walk.  `dense_boundary` writes a boundary out as the dense matrix that the
+library never builds, and `DenseView` shows a pair complex to the
+reference `homology` that way.  `invariant_factors` is the eager unit
+elimination that the library's lazy reduction replaced, a second reference
+beside the dense `reference_snf`.
 The rest are conveniences built on the library -- coordinates, the rank-1
 evaluation matrix, a cached pair complex (`context`), a top-degree chain
 that is not a cycle (`non_cycle`).  None of them is needed to compute
@@ -39,7 +44,7 @@ from functools import lru_cache
 from math import ceil, comb, lcm
 from numbers import Rational
 from random import Random
-from typing import Mapping, Protocol, Sequence
+from typing import Collection, Mapping, Protocol, Sequence
 
 import loophom.wedge
 from loophom.affine import AffineSimplexMap, Point
@@ -199,6 +204,29 @@ def build_pair_complex(n: int, g: int) -> PairComplex:
         index = {s: i for i, s in enumerate(bases[d - 1])}
         boundaries.append(tuple(boundary_of_simplex(s, d, index) for s in bases[d]))
     return PairComplex(n, g, tuple(bases), tuple(boundaries))
+
+
+def _closed_words(n: int, m: int) -> int:
+    """W(n, m): the words of length n over the basepoint and m letters in
+    which no letter equals the one before and the basepoint is neither
+    first nor last.  Step by step, `letter` counts the words so far that
+    end in a letter and `base` those that end at the basepoint."""
+    letter, base = m, 0
+    for _ in range(n - 1):
+        letter, base = (m - 1) * letter + m * base, letter
+    return letter
+
+
+def chain_ranks(n: int, g: int) -> list[int]:
+    """The ranks of C_0..C_(n+1) of the pair complex, by a closed form.
+    The d-simplices outside Y whose jumps avoid s given slots are the words
+    of `_closed_words` over the g·(d - s) edge cells left, so by inclusion
+    and exclusion the nondegenerate ones, which miss no slot, number
+    rank C_d = Σ_s (-1)^s C(d, s) W(n, g·(d - s))."""
+    return [
+        sum((-1) ** s * comb(d, s) * _closed_words(n, g * (d - s)) for s in range(d + 1))
+        for d in range(n + 2)
+    ]
 
 
 def dense_boundary(cx: PairComplex, d: int) -> list[list[int]]:
@@ -681,3 +709,45 @@ def homology(cx: DenseComplexLike, d: int) -> HomologySummary:
         _uprime=tuple(tuple(r) for r in uprime),
         _bdry_diag=diag,
     )
+
+
+def invariant_factors(
+    columns: Sequence[Column], nrows: int, cleared: Collection[int] = frozenset()
+) -> tuple[list[int], set[int]]:
+    """The library's `invariant_factors` by eager unit elimination: each
+    row not in `cleared` in turn pivots on its first ±1 entry, which is
+    cleared at once from every other row through an index from each column
+    to its rows; what no unit pivoted goes, dense, through
+    `reference_snf`.  Returns the factors and the pivot columns."""
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    support: list[set[int]] = [set() for _ in columns]  # column -> its rows
+    for c, column in enumerate(columns):
+        for r, x in column:
+            if r not in cleared:
+                rows[r][c] = x
+                support[c].add(r)
+    pivots = set()
+    for i, pivot in enumerate(rows):
+        c = next((c for c, x in pivot.items() if x in (1, -1)), None)
+        if c is None:
+            continue
+        p = pivot[c]
+        for k in support[c] - {i}:
+            old = rows[k]
+            q = old[c] * p  # old[c] / p, as p is a unit
+            new = combine(itertools.chain(old.items(), ((s, -q * x) for s, x in pivot.items())))
+            for s in old.keys() - new.keys():
+                support[s].discard(k)
+            for s in new.keys() - old.keys():
+                support[s].add(k)
+            rows[k] = new
+        for s in pivot:
+            support[s].discard(i)
+        rows[i] = {}
+        pivots.add(c)
+    left = [row for row in rows if row]
+    kept = sorted(set().union(*left))
+    _, d, _, _ = reference_snf([[row.get(c, 0) for c in kept] for row in left], len(left), len(kept))
+    factors = [1] * len(pivots)
+    factors.extend(d[i][i] for i in range(min(len(left), len(kept))) if d[i][i])
+    return factors, pivots

@@ -897,12 +897,77 @@ def test_invariant_factors_match_reference_property(remainders):
 
 
 def test_invariant_factors_split_off_units_before_the_remainder(remainders):
-    # the one unit, at row 1 and column 2, clears its row and column,
-    # leaving [[2, 4], [6, 8]], whose invariant factors are 2 and 4; the
-    # set names the pivot's column
+    # every row's least entry (23, 3, 12) is no unit and no stored pivot, so
+    # the lazy reduction sets all three rows aside and stores no pivot: the
+    # whole matrix is the remainder, with factors 1, 2 and 4 (the eager
+    # elimination pivoted on the 1 at row 1, column 2, and left 2 x 2)
     a = [[23, 39, 7], [3, 5, 1], [12, 18, 2]]
-    assert invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], {2})
-    assert remainders == [(2, 2)]
+    assert invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], set())
+    assert remainders == [(3, 3)]
+    assert oracles.invariant_factors(columns_of(a, 3), 3) == ([1, 2, 4], {2})
+
+
+def test_invariant_factors_reduce_set_aside_rows_against_later_pivots(remainders):
+    """Row 0's least entry, 2, is no unit, so the row is set aside though
+    it holds a 1; row 1 then stores a pivot on column 0, and at the end
+    row 0 less twice that pivot is the unit row left to `_snf`."""
+    a = [[2, 1], [1, 0]]
+    assert invariant_factors(columns_of(a, 2), 2) == ([1, 1], {0})
+    assert remainders == [(1, 1)]
+
+
+def random_cleared(rng: random.Random, nrows: int) -> set[int]:
+    return {r for r in range(nrows) if rng.random() < 0.3}
+
+
+def check_against_both_references(a, nrows: int, ncols: int, cleared: set[int]) -> None:
+    """Factors equal to the dense reference's on the matrix with the
+    cleared rows zeroed, and to the eager elimination's; pivots among the
+    columns, each splitting off a factor 1."""
+    zeroed = [[0] * ncols if r in cleared else row for r, row in enumerate(a)]
+    factors, pivots = invariant_factors(columns_of(a, ncols), nrows, cleared)
+    assert factors == reference_factors(zeroed, nrows, ncols)
+    assert factors == oracles.invariant_factors(columns_of(a, ncols), nrows, cleared)[0]
+    assert pivots <= set(range(ncols)) and len(pivots) <= factors.count(1)
+
+
+def with_torsion(rng: random.Random, a: Matrix) -> Matrix:
+    """a with one row, when it has one, scaled by 2 or 3."""
+    if a:
+        k = rng.randrange(len(a))
+        a[k] = [rng.choice((2, 3)) * x for x in a[k]]
+    return a
+
+
+def test_invariant_factors_match_both_references_on_seeded_matrices(remainders):
+    rng = random.Random(2021)
+    for _ in range(1000):
+        nrows, ncols = rng.randint(0, 10), rng.randint(0, 10)
+        a = with_torsion(rng, random_sparse_matrix(rng, nrows, ncols))
+        check_against_both_references(a, nrows, ncols, random_cleared(rng, nrows))
+    assert sum(1 for r, c in remainders if r and c) > 100
+
+
+@st.composite
+def sparse_matrices_with_cleared(draw):
+    """Mostly zeros and units with some larger entries, like
+    `random_sparse_matrix`, and a set of rows to clear."""
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 1, -1, 2, -3, 4, 6))
+    a = draw(matrices_of(entries))
+    cleared = draw(st.sets(st.integers(0, len(a) - 1))) if a else set()
+    return a, cleared
+
+
+def test_invariant_factors_match_both_references_property(remainders):
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices_with_cleared())
+    def check(case):
+        a, cleared = case
+        nrows = len(a)
+        check_against_both_references(a, nrows, len(a[0]) if nrows else 0, cleared)
+
+    check()
+    assert any(r and c for r, c in remainders)
 
 
 def test_invariant_factors_skip_the_cleared_rows(remainders):

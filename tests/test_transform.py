@@ -13,6 +13,7 @@ from loophom import transform
 from loophom.homology import homology, smith_normal_form
 from loophom.permutations import epsilon, level_sizes
 from loophom.transform import (
+    _symbolic_terms,
     BASEPOINT,
     _columns,
     _path_table,
@@ -467,6 +468,21 @@ def test_symbolic_cancellation_empty():
         assert symbolic_cancellation(n) == {}
     with pytest.raises(ValueError):
         symbolic_cancellation(0)
+
+
+def test_symbolic_terms_before_they_cancel():
+    """The expansion's terms, before `combine` cancels them all: I = ∅, the
+    first subset, gives the one piece of the fixed block alone, its n
+    coordinates in order; that term comes once from each I, with sign
+    (-1)^|I|; and the blocks used are exactly the deletable loops 0..n and
+    the fixed one, n + 1."""
+    for n in (1, 2, 3, 4):
+        terms = list(_symbolic_terms(n))
+        fixed_alone = tuple((n + 1, q) for q in range(1, n + 1))
+        assert terms[0] == (fixed_alone, 1)
+        signs = [sign for term, sign in terms if term == fixed_alone]
+        assert len(signs) == 2 ** (n + 1) and sum(signs) == 0
+        assert {b for term, _ in terms for b, _ in term} == set(range(n + 2))
 
 
 # ---------------------------------------------------------------------------
