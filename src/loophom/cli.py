@@ -9,8 +9,10 @@ prints a report or writes ``--out``.  Reports are byte-stable across runs
 except for the ``ms`` field (and any recorded ``seed`` is part of the
 parameters, so seeded suites are reproducible).
 
-`SUITES` lists, for each verify suite, its checks and the flags it reads
-with their defaults.
+The parser is built once per process, on first use.  `VERIFY_FLAGS`
+declares the verify flags, and `SUITES` lists, for each verify suite, its
+checks and the flags it reads with their defaults.  A report's ``params``
+are its command's flags after defaults, other than ``--json`` and ``--out``.
 
 Exit status: 0 when the command passed, 1 when a check failed, 2 for usage
 errors, including an ``--out`` file that cannot be written (nothing is
@@ -490,9 +492,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
         for d, (rank, torsion) in enumerate(homology_groups(cx))
     ]
     ms = int(round((time.perf_counter() - t0) * 1000))
-    params = {"genus": args.genus, "n": args.n}
     report = Report(
-        "homology", params, "pass", len(groups), 0, ms, result={"groups": groups}
+        "homology", args.params, "pass", len(groups), 0, ms, result={"groups": groups}
     )
     lines = [f"homology: rank-{args.genus} wedge, power {args.n} ({ms} ms)"]
     lines += [f"  H_{row['d']} = {row['group']}" for row in groups]
@@ -513,7 +514,6 @@ def cmd_nu(args: argparse.Namespace) -> int:
         if c
     }
     ms = int(round((time.perf_counter() - t0) * 1000))
-    params = {"genus": args.genus, "n": args.n, "word": args.word}
     result = {
         "alphabet": alphabet,
         "chain": chain,
@@ -521,7 +521,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
         "free_rank": summary.rank,
         "torsion": [],  # Z_n sits inside the free group C_n, so it is free
     }
-    report = Report("nu", params, "pass", 1, 0, ms, result=result)
+    report = Report("nu", args.params, "pass", 1, 0, ms, result=result)
     lines = [f"nu: {args.word!r} at degree {args.n} ({ms} ms)", f"  class: {list(coords)}"]
     lines += [f"  chain {label}: {chain[label]}" for label in sorted(chain)]
     return emit(report, args, lines)
@@ -533,14 +533,13 @@ def cmd_export_complex(args: argparse.Namespace) -> int:
     cx = build_pair_complex(args.n, args.genus)
     payload = complex_to_json(cx)
     ms = int(round((time.perf_counter() - t0) * 1000))
-    params = {"genus": args.genus, "n": args.n}
     if args.out is not None:  # the file gets the complex, the report says where it went
         dims = len(payload["dims"])
         result = {"path": args.out, "dims": dims}
-        report = Report("export-complex", params, "pass", 1, 0, ms, result=result)
+        report = Report("export-complex", args.params, "pass", 1, 0, ms, result=result)
         lines = [f"export-complex: wrote {args.out} ({dims} dimensions)"]
         return emit(report, args, lines, file_payload=payload)
-    return emit(Report("export-complex", params, "pass", 1, 0, ms, result=payload), args)
+    return emit(Report("export-complex", args.params, "pass", 1, 0, ms, result=payload), args)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,24 @@ def cmd_export_complex(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each verify flag's type and help, and no default: a flag given is told
+# apart from one left out, and SUITES fills in what the suite reads.
+VERIFY_FLAGS: dict[str, tuple[Callable[[str], object], str]] = {
+    "max_n": (int, "dimension bound"),
+    "max_k": (int, "arity bound"),
+    "genus": (int, "wedge rank"),
+    "n": (int, "evaluation degree"),
+    "gamma": (str, "base word (theorem-b)"),
+    "alphas": (lambda text: text.split(","), "comma-separated loops (theorem-b)"),
+    "seed": (int, "oracle sample seed"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and then reused:
+    parsing leaves no state in it, and the ``cmd_*`` functions it holds
+    look up what they call when they run."""
     parser = argparse.ArgumentParser(
         prog="loophom",
         description=(
@@ -562,49 +578,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a verification suite"
-    )
+    p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("suite", choices=list(SUITES))
-    # no defaults here: a flag given explicitly is told apart from an
-    # absent one, and SUITES fills in what the suite reads
-    p_verify.add_argument("--max-n", type=int, help="dimension bound")
-    p_verify.add_argument("--max-k", type=int, help="arity bound")
-    p_verify.add_argument("--genus", type=int, help="wedge rank")
-    p_verify.add_argument("--n", type=int, help="evaluation degree")
-    p_verify.add_argument("--gamma", help="base word (theorem-b)")
-    p_verify.add_argument(
-        "--alphas", type=lambda text: text.split(","), help="comma-separated loops (theorem-b)"
-    )
-    p_verify.add_argument("--seed", type=int, help="oracle sample seed")
+    for attr, (kind, text) in VERIFY_FLAGS.items():
+        p_verify.add_argument("--" + attr.replace("_", "-"), type=kind, help=text)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_hom = sub.add_parser(
-        "homology", parents=[common], help="homology of the pair complex"
-    )
-    p_hom.add_argument("--genus", type=int, required=True, help="wedge rank")
-    p_hom.add_argument("--n", type=int, required=True, help="power of the wedge")
-    p_hom.set_defaults(func=cmd_homology)
-
-    p_nu = sub.add_parser(
-        "nu", parents=[common], help="evaluate a word in top homology"
-    )
-    p_nu.add_argument("--genus", type=int, required=True, help="wedge rank")
-    p_nu.add_argument("--n", type=int, required=True, help="evaluation degree")
-    p_nu.add_argument("--word", required=True, help="word (uppercase = inverse)")
-    p_nu.set_defaults(func=cmd_nu)
-
-    p_exp = sub.add_parser(
-        "export-complex", parents=[common], help="dump the pair complex as JSON"
-    )
-    p_exp.add_argument("--genus", type=int, required=True, help="wedge rank")
-    p_exp.add_argument("--n", type=int, required=True, help="power of the wedge")
-    p_exp.set_defaults(func=cmd_export_complex)
+    # the two --n helps differ on purpose: nu evaluates at degree n
+    for command, func, text, n_text in (
+        ("homology", cmd_homology, "homology of the pair complex", "power of the wedge"),
+        ("nu", cmd_nu, "evaluate a word in top homology", "evaluation degree"),
+        ("export-complex", cmd_export_complex, "dump the pair complex as JSON",
+         "power of the wedge"),
+    ):
+        p_cmd = sub.add_parser(command, parents=[common], help=text)
+        p_cmd.add_argument("--genus", type=int, required=True, help="wedge rank")
+        p_cmd.add_argument("--n", type=int, required=True, help=n_text)
+        p_cmd.set_defaults(func=func)
+    sub.choices["nu"].add_argument("--word", required=True, help="word (uppercase = inverse)")
 
     return parser
-
-
-VERIFY_FLAGS = ("max_n", "max_k", "genus", "n", "gamma", "alphas", "seed")
 
 
 def suite_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
@@ -643,9 +636,13 @@ def main(argv: list[str] | None = None) -> int:
             raise
         if args.command == "verify":
             args.params = suite_params(parser, args)
+        else:  # every flag the command declares but the output ones
+            args.params = {
+                attr: value for attr, value in vars(args).items()
+                if attr not in ("command", "func", "json", "out")
+            }
         for attr in ("genus", "n"):
-            value = getattr(args, attr, None)
-            if value is not None and value < 1:
+            if args.params.get(attr, 1) < 1:
                 parser.error(f"--{attr} must be at least 1")
         return args.func(args)
     except ValueError as exc:
