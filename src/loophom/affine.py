@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, mul, sub
+from operator import add
 from typing import Sequence
 
 from .permutations import InvolPoint, Perm, act_on_coords, point_sign
@@ -109,8 +109,12 @@ def identity_map(n: int) -> AffineSimplexMap:
 def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
     """The composite g o f, by pushing f's vertex images through g.
 
-    Over numerators, with f = F / d_f and g = G / d_g on D^q, row i of the
-    composite is (d_f G_0 + sum_j F_ij (G_{q-j+1} - G_{q-j})) / (d_f d_g).
+    Row i of f, t = (t_1, ..., t_q) over d_f with t_0 = 0 and
+    t_{q+1} = d_f, is the point sum_j lambda_j E(q, j) / d_f of barycentric
+    weights lambda_j = t_{q-j+1} - t_{q-j}, which sum to d_f.  So row i of
+    the composite is sum_j lambda_j G_j over d_f d_g, with g = G / d_g on
+    D^q; only the nonzero weights are pushed, and a face or subdivision
+    vertex has one or two of them.
     """
     if f.codomain_dim != g.domain_dim:
         raise ValueError(
@@ -118,16 +122,22 @@ def compose(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
             f"outer map starts on D^{g.domain_dim}"
         )
     G = g.nums
-    q = len(G) - 1
-    # steps[j-1] = G_{q-j+1} - G_{q-j}, read one codomain coordinate at a time
-    steps = [tuple(map(sub, G[q - j + 1], G[q - j])) for j in range(1, q + 1)]
-    columns = tuple(zip(*steps)) if q else ((),) * g.codomain_dim
     d_f = f.den
-    base = [d_f * x for x in G[0]]
-    rows = tuple(
-        tuple(b + sum(map(mul, row, col)) for b, col in zip(base, columns)) for row in f.nums
-    )
-    return AffineSimplexMap(g.codomain_dim, d_f * g.den, rows)
+    rows = []
+    for row in f.nums:
+        image = None
+        hi = d_f  # t_{q-j+1}, for j = 0, ..., q
+        for G_j, lo in zip(G, (*reversed(row), 0)):
+            if hi != lo:
+                weight = hi - lo
+                if image is None:
+                    image = G_j if weight == 1 else [weight * x for x in G_j]
+                else:
+                    image = [a + weight * x for a, x in zip(image, G_j)]
+            hi = lo
+        # the weights sum to d_f >= 1, so one of them is nonzero
+        rows.append(tuple(image))
+    return AffineSimplexMap(g.codomain_dim, d_f * g.den, tuple(rows))
 
 
 @lru_cache(maxsize=None)

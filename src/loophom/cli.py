@@ -279,11 +279,23 @@ def homotopy_checks(max_n: int, max_k: int) -> Iterator[Check]:
 
 
 def _involution_block(n: int, k: int) -> Check:
+    """Check invol on every point (v, sigma, i) with v in [-1, k]^n, in
+    lexicographic order, visiting each orbit {x, invol(x)} once.
+
+    A point x that passes remembers its partner y when y lies later in the
+    domain; y is then skipped, because its checks are x's read backwards
+    (invol(y) = x was checked, and the sign and composite checks are
+    symmetric), so the first failing point is the one a visit of every
+    point would find."""
     perms = list(itertools.permutations(range(1, n + 1)))
+    partners: set = set()  # passed partners of earlier points, not yet reached
     for v in itertools.product(range(-1, k + 1), repeat=n):
         for sigma in perms:
             for i in range(0, n + 1):
                 x = (v, sigma, i)
+                if x in partners:
+                    partners.remove(x)
+                    continue
                 y = invol(x)
                 if invol(y) != x or y == x:
                     return False, {"check": "involution", "point": list(x)}
@@ -293,6 +305,8 @@ def _involution_block(n: int, k: int) -> Check:
                 fy, sy = f_map(y, k)
                 if fx != fy or sy != -sx:
                     return False, {"check": "composite-invariance", "point": list(x)}
+                if y > x and all(-1 <= c <= k for c in y[0]):
+                    partners.add(y)
     return True, None
 
 

@@ -17,6 +17,11 @@ Beyond the basics (composition, inverse, sign) the module provides:
   ``(v, sigma, i)`` that drives the cancellation in the subdivision/boundary
   commutation, and the bijection matching its leftover terms with
   (n-1)-dimensional data.
+
+The shuffles of each composition and the pairs of each (n, k) are built
+once per process and kept as tuples; `enumerate_shuffles` and
+`enumerate_ens` hand out a fresh list of them on every call, so a caller
+may sort or extend its list without touching the next caller's.
 """
 
 from __future__ import annotations
@@ -230,7 +235,8 @@ def is_shuffle(parts: Sequence[int], sigma: Perm) -> bool:
 
 
 def enumerate_shuffles(parts: Sequence[int]) -> list[Perm]:
-    """All block shuffles of the composition, in lexicographic image order.
+    """All block shuffles of the composition, in lexicographic image order,
+    as a fresh list.
 
     The count is the multinomial coefficient; zero parts impose nothing.
 
@@ -239,6 +245,13 @@ def enumerate_shuffles(parts: Sequence[int]) -> list[Perm]:
     >>> enumerate_shuffles((2, 0))
     [(1, 2)]
     """
+    return list(_shuffles(tuple(parts)))
+
+
+@lru_cache(maxsize=None)
+def _shuffles(parts: tuple[int, ...]) -> tuple[Perm, ...]:
+    """The block shuffles of `enumerate_shuffles`, built once per
+    composition."""
     n = sum(parts)
 
     def walk(sizes: tuple[int, ...], values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -250,7 +263,7 @@ def enumerate_shuffles(parts: Sequence[int]) -> list[Perm]:
             for tail in walk(sizes[1:], rest):
                 yield chosen + tail
 
-    return list(walk(tuple(parts), tuple(range(1, n + 1))))
+    return tuple(walk(parts, tuple(range(1, n + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +280,25 @@ def level_sizes(v: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def enumerate_ens(n: int, k: int) -> list[tuple[tuple[int, ...], Perm]]:
-    """All k^n pairs (v, sigma), lexicographic by v then by sigma images.
+    """All k^n pairs (v, sigma), lexicographic by v then by sigma images,
+    as a fresh list.
 
     >>> enumerate_ens(1, 3)
     [((0,), (1,)), ((1,), (1,)), ((2,), (1,))]
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    out = []
-    for v in itertools.combinations_with_replacement(range(k), n):
-        for sigma in enumerate_shuffles(level_sizes(v, k)):
-            out.append((v, sigma))
-    return out
+    return list(_ens(n, k))
+
+
+@lru_cache(maxsize=None)
+def _ens(n: int, k: int) -> tuple[tuple[tuple[int, ...], Perm], ...]:
+    """The pairs of `enumerate_ens`, built once per (n, k)."""
+    return tuple(
+        (v, sigma)
+        for v in itertools.combinations_with_replacement(range(k), n)
+        for sigma in _shuffles(level_sizes(v, k))
+    )
 
 
 def iter_compositions(n: int, k: int) -> Iterable[tuple[int, ...]]:

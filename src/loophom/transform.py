@@ -49,8 +49,12 @@ inclusion-exclusion cancellation over block alphabets, the vanishing of
 subset-alternating sums in homology, and naturality under wedge maps.  The
 oracle's sample points are drawn as integer numerators over one common
 denominator D per point, so the path at every block and the simplex side
-are integer numerators over D, compared as int tuples; ``tests/oracles.py``
-keeps the exact-rational form as the reference it must agree with.
+are integer numerators over D.  For each word and n the oracle builds two
+index maps once, one into the path table and one into a table of the
+simplex side's (letter, coordinate) values, so each point is checked by a
+single tuple comparison over every position of every piece;
+``tests/oracles.py`` keeps the piece-by-piece integer check and the
+exact-rational form as the references it must agree with.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from random import Random
 from typing import Iterator, Mapping, Sequence
 
@@ -294,37 +299,6 @@ def _path_table(w: Word, nums: Sequence[int], den: int) -> list[list[tuple]]:
     return [[path_eval(w, b * den + a, den) for a in nums] for b in range(len(w))]
 
 
-def term_matches_path(
-    v: Sequence[int],
-    sigma: Perm,
-    nums: Sequence[int],
-    den: int,
-    cell: Simplex,
-    path: list[list[tuple]],
-) -> bool:
-    """Whether, at the sample point with coordinates a_q / den, the simplex
-    encoding piece (v, sigma) agrees with the subdivided path.
-
-    Position p of the path side evaluates the concatenated loops at loop
-    time v_p + a_{sigma(p)} / den, the p-th output of the subdivision
-    piece; the simplex side reads component p of ``cell``
-    (``term_to_simplex(w, v, sigma)``, or a forged simplex as a negative
-    control), whose jump j names the source coordinate q = n - j + 1, at
-    the basepoint when a_q is 0 or den.  ``path`` is the word's
-    `_path_table` at the point, which `sampling_oracle` computes once per
-    point for all pieces.  Both sides are integer tuples; the exact-rational
-    form of this check is the reference in ``tests/oracles.py``.
-    """
-    n = len(sigma)
-    for p in range(n):
-        letter, jump = cell[p]
-        a = nums[n - jump]
-        rhs = BASEPOINT if a == 0 or a == den else (letter, a)
-        if path[v[p]][sigma[p] - 1] != rhs:
-            return False
-    return True
-
-
 def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[tuple[int, ...], int]]:
     """Seeded points of the order simplex, each as its sorted coordinate
     numerators over one denominator, the lcm of the coordinates' own."""
@@ -342,13 +316,29 @@ def random_simplex_points(n: int, count: int, seed: int) -> list[tuple[tuple[int
 
 def sampling_oracle(w: Word, n: int, points: Sequence[tuple[Sequence[int], int]]) -> bool:
     """Check every subdivision piece of w against the path at every point
-    (numerators, denominator), in integers (`term_matches_path`)."""
-    pieces = [(v, sigma, term_to_simplex(w, v, sigma)) for v, sigma in shuffle_expand(w, n)]
+    (numerators, denominator), in integers, one tuple comparison per point.
+
+    Position p of piece (v, sigma) evaluates the concatenated loops at loop
+    time v_p + a_{sigma(p)} / den, the p-th output of the subdivision piece:
+    entry [v_p][sigma(p) - 1] of the word's `_path_table`.  The simplex side
+    reads component p of ``term_to_simplex(w, v, sigma)``: a letter and a
+    jump j naming the source coordinate q = n - j + 1, at the basepoint when
+    a_q is 0 or den.  Both sides of every position of every piece are read
+    by one `itemgetter` each, built once per call, from the flattened path
+    table and from a per-point table of (letter, coordinate) entries.
+    """
+    pieces = shuffle_expand(w, n)
+    cells = [term_to_simplex(w, v, sigma) for v, sigma in pieces]
+    letters = sorted({letter for cell in cells for letter, _ in cell})
+    row_of = {letter: r * n for r, letter in enumerate(letters)}
+    path_side = itemgetter(*(b * n + q - 1 for v, sigma in pieces for b, q in zip(v, sigma)))
+    cell_side = itemgetter(*(row_of[letter] + n - jump for cell in cells for letter, jump in cell))
     for nums, den in points:
-        path = _path_table(w, nums, den)
-        if not all(
-            term_matches_path(v, sigma, nums, den, cell, path) for v, sigma, cell in pieces
-        ):
+        path = list(itertools.chain.from_iterable(_path_table(w, nums, den)))
+        table = [
+            BASEPOINT if a == 0 or a == den else (letter, a) for letter in letters for a in nums
+        ]
+        if path_side(path) != cell_side(table):
             return False
     return True
 

@@ -9,8 +9,14 @@ ranks, torsion and transforms below the top, and the library's top-degree
 `homology` must agree with it where both apply.  `path_eval`,
 `_path_table` and `term_matches_path` are the sampling oracle in exact
 rationals, the reference for the library's integer form;
+`integer_term_matches_path` is that integer form piece by piece, the
+reference for the library's one comparison per point;
 `random_simplex_points` draws the library's seeded points as `Fraction`s,
 and `on_common_denominator` puts such a point on integers.
+`compose_matrix` composes affine maps by the full numerator product, the
+reference for the library's push of nonzero barycentric weights.
+`involution_block` checks the involution at every point, the reference
+for the library's block, which visits each orbit once.
 `affine_map` and `vertices` are the exact-rational face of an affine map,
 which the library stores and builds only in integers: a map from
 `Fraction` vertex images (rejecting anything inexact), and a map's vertex
@@ -43,13 +49,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, lcm
 from numbers import Rational
+from operator import mul, sub
 from random import Random
-from typing import Collection, Mapping, Protocol, Sequence
+from typing import Callable, Collection, Mapping, Protocol, Sequence
 
 import loophom.wedge
-from loophom.affine import AffineSimplexMap, Point
+from loophom.affine import AffineSimplexMap, Point, f_map
 from loophom.chains import FormalChain
-from loophom.permutations import Perm, is_shuffle, level_sizes
+from loophom.permutations import InvolPoint, Perm, is_shuffle, level_sizes, point_sign
 from loophom.transform import BASEPOINT, nu_eval
 from loophom.wedge import Column, PairComplex, Simplex, cell_face, enumerate_basis
 from loophom.words import Monomial, Tensor, Word, WordCombo, combine, magnus
@@ -123,6 +130,26 @@ def apply(m: AffineSimplexMap, x: Sequence) -> Point:
 def compose_pointwise(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
     """g o f, by evaluating g at each of f's vertex images."""
     return affine_map(g.codomain_dim, tuple(apply(g, v) for v in vertices(f)))
+
+
+def compose_matrix(g: AffineSimplexMap, f: AffineSimplexMap) -> AffineSimplexMap:
+    """g o f by the full numerator product: with f = F / d_f and g = G / d_g
+    on D^q, row i is (d_f G_0 + sum_j F_ij (G_{q-j+1} - G_{q-j})) / (d_f d_g).
+    The reference for the library's `compose`, which pushes only the
+    nonzero barycentric weights of each row."""
+    if f.codomain_dim != g.domain_dim:
+        raise ValueError("inner codomain and outer domain differ")
+    G = g.nums
+    q = len(G) - 1
+    # steps[j-1] = G_{q-j+1} - G_{q-j}, read one codomain coordinate at a time
+    steps = [tuple(map(sub, G[q - j + 1], G[q - j])) for j in range(1, q + 1)]
+    columns = tuple(zip(*steps)) if q else ((),) * g.codomain_dim
+    d_f = f.den
+    base = [d_f * x for x in G[0]]
+    rows = tuple(
+        tuple(b + sum(map(mul, row, col)) for b, col in zip(base, columns)) for row in f.nums
+    )
+    return AffineSimplexMap(g.codomain_dim, d_f * g.den, rows)
 
 
 def piece_pointwise(v: Sequence[int], sigma: Perm, k: int) -> AffineSimplexMap:
@@ -401,9 +428,9 @@ def nu_basis_matrix(n: int) -> list[list[int]]:
 
 # The pointwise sampling oracle in exact rationals: the path is evaluated at
 # Fraction times and compared with the simplex side coordinate by coordinate.
-# The library's `term_matches_path` runs the same check on integer
-# numerators over one denominator per point, and must accept and reject
-# exactly the same pieces.
+# `integer_term_matches_path` runs the same check on integer numerators over
+# one denominator per point, and must accept and reject exactly the same
+# pieces; the library's `sampling_oracle` makes it for all pieces at once.
 
 
 def path_eval(w: Word, s: Fraction) -> tuple:
@@ -476,6 +503,51 @@ def term_matches_path(
         if lhs != rhs:
             return False
     return True
+
+
+def integer_term_matches_path(
+    v: Sequence[int],
+    sigma: Perm,
+    nums: Sequence[int],
+    den: int,
+    cell: Simplex,
+    path: list[list[tuple]],
+) -> bool:
+    """`term_matches_path` on integer numerators over one denominator: the
+    piece-by-piece check that the library's `sampling_oracle` makes for
+    all pieces at once.  ``path`` is the library's `_path_table` at the
+    point; the simplex side reads coordinate q = n - j + 1 for jump j, at
+    the basepoint when its numerator is 0 or den."""
+    n = len(sigma)
+    for p in range(n):
+        letter, jump = cell[p]
+        a = nums[n - jump]
+        rhs = BASEPOINT if a == 0 or a == den else (letter, a)
+        if path[v[p]][sigma[p] - 1] != rhs:
+            return False
+    return True
+
+
+def involution_block(n: int, k: int, invol: Callable[[InvolPoint], InvolPoint]):
+    """The involution checks of ``verify combinatorics`` at every point
+    (v, sigma, i), v in [-1, k]^n, in lexicographic order, visiting each
+    point and its partner in turn: the reference for the library's block,
+    which visits each orbit once.  ``invol`` is the involution under test;
+    returns the library's (ok, witness) pair."""
+    for v in itertools.product(range(-1, k + 1), repeat=n):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            for i in range(0, n + 1):
+                x = (v, sigma, i)
+                y = invol(x)
+                if invol(y) != x or y == x:
+                    return False, {"check": "involution", "point": list(x)}
+                if point_sign(y[1], y[2]) != -point_sign(sigma, i):
+                    return False, {"check": "sign-flip", "point": list(x)}
+                fx, sx = f_map(x, k)
+                fy, sy = f_map(y, k)
+                if fx != fy or sy != -sx:
+                    return False, {"check": "composite-invariance", "point": list(x)}
+    return True, None
 
 
 # The general homology at any degree, from two reductions: one of the

@@ -35,6 +35,7 @@ from loophom.permutations import bij, enumerate_ens, invol
 from oracles import (
     affine_map,
     apply,
+    compose_matrix,
     compose_pointwise,
     constant_map,
     in_simplex,
@@ -371,6 +372,61 @@ def test_compose_matches_pointwise_reference_on_random_maps():
         assert gf == expected and hash(gf) == hash(expected)
         assert vertices(gf) == vertices(expected)
         assert is_canonical(gf)
+
+
+def random_integer_map(rng: random.Random, q: int, p: int) -> AffineSimplexMap:
+    """A map D^q -> R^p with numerators far off the simplex, over a
+    denominator that is often above 1."""
+    nums = tuple(tuple(rng.randint(-30, 30) for _ in range(p)) for _ in range(q + 1))
+    return AffineSimplexMap(p, rng.choice((1, 1, 2, 3, 6, 12, 35)), nums)
+
+
+def test_compose_matches_matrix_reference_on_random_maps():
+    rng = random.Random(1103)
+    shapes = set()
+    for _ in range(3000):
+        r, q, p = (rng.randint(0, 4) for _ in range(3))
+        g, f = random_integer_map(rng, q, p), random_integer_map(rng, r, q)
+        gf = compose(g, f)
+        expected = compose_matrix(g, f)
+        assert (gf.codomain_dim, gf.den, gf.nums) == (p, expected.den, expected.nums)
+        assert is_canonical(gf)
+        shapes |= {q == 0 and "g on D^0", p == 0 and "codomain R^0"}
+        shapes.add(f.den > 1 and g.den > 1 and "both dens > 1")
+    # a map into R^0 has denominator 1, so f has den 1 whenever g is on D^0
+    assert shapes == {False, "g on D^0", "codomain R^0", "both dens > 1"}
+
+
+def test_compose_matches_matrix_reference_on_pieces_and_faces():
+    # the composites the verify suites build: one or two nonzero weights
+    for n in range(1, 4):
+        for k in range(1, 4):
+            for v, sigma in enumerate_ens(n, k):
+                piece = subdivision_piece(v, sigma, k)
+                for i in range(n + 1):
+                    assert compose(piece, face_map(n, i)) == compose_matrix(
+                        piece, face_map(n, i)
+                    )
+                for i in range(n + 2):
+                    assert compose(face_map(n + 1, i), piece) == compose_matrix(
+                        face_map(n + 1, i), piece
+                    )
+
+
+def integer_maps(q: int, p: int):
+    rows = st.tuples(*[st.tuples(*[st.integers(-40, 40)] * p)] * (q + 1))
+    return st.builds(AffineSimplexMap, st.just(p), st.integers(1, 40), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compose_matches_matrix_reference_property(data):
+    r, q, p = data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+    g = data.draw(integer_maps(q, p))
+    f = data.draw(integer_maps(r, q))
+    gf = compose(g, f)
+    expected = compose_matrix(g, f)
+    assert (gf.codomain_dim, gf.den, gf.nums) == (p, expected.den, expected.nums)
 
 
 coordinates = st.builds(F, st.integers(-7, 7), st.sampled_from(DENOMINATORS))

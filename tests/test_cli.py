@@ -5,8 +5,10 @@ import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,8 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loophom.homology
+import oracles
 from loophom import cli, transform
 from loophom.homology import homology
+from loophom.permutations import invol
 from loophom.wedge import build_pair_complex, complex_to_json
 from oracles import non_cycle
 
@@ -286,6 +290,49 @@ def test_naturality_on_corrupted_chains(capsys, monkeypatch):
     code = cli.main(["verify", "naturality"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", "error: vector is not a cycle\n")
+
+
+def involution_domain(n: int, k: int) -> list:
+    """The points (v, sigma, i), v in [-1, k]^n, in the order the
+    involution block visits them."""
+    return [
+        (v, sigma, i)
+        for v in itertools.product(range(-1, k + 1), repeat=n)
+        for sigma in itertools.permutations(range(1, n + 1))
+        for i in range(n + 1)
+    ]
+
+
+def involution_mutants(n: int, k: int):
+    """(name, involution) pairs that each break one law of `invol` at a few
+    points spread over the domain: a wrong partner, a fixed point, a pair of
+    points of one sign, and two points sharing a partner."""
+    domain = involution_domain(n, k)
+    rng = random.Random(100 * n + k)
+    for t in (domain[0], domain[len(domain) // 2], domain[-1], rng.choice(domain)):
+        other = rng.choice([z for z in domain if z not in (t, invol(t))])
+        yield "wrong partner", lambda x, t=t, other=other: other if x == t else invol(x)
+        yield "fixed point", lambda x, t=t: x if x == t else invol(x)
+        v, sigma, i = t
+        z = (tuple(c + 1 if c < k else -1 for c in v), sigma, i)  # same sign as t
+        swap = {t: z, z: t, invol(t): invol(z), invol(z): invol(t)}
+        yield "wrong sign", lambda x, swap=swap: swap[x] if x in swap else invol(x)
+        yield "shared partner", lambda x, t=t, other=other: invol(t) if x == other else invol(x)
+
+
+@pytest.mark.parametrize("n, k", list(itertools.product((1, 2, 3), (1, 2, 3))))
+def test_involution_block_finds_the_first_witness_of_a_full_visit(monkeypatch, n, k):
+    """Visiting each orbit once finds the witness that checking every point
+    finds, for the true involution and for broken ones."""
+    assert cli._involution_block(n, k) == oracles.involution_block(n, k, invol) == (True, None)
+    checks = set()
+    for name, mutant in involution_mutants(n, k):
+        monkeypatch.setattr(cli, "invol", mutant)
+        got = cli._involution_block(n, k)
+        assert got == oracles.involution_block(n, k, mutant), name
+        assert not got[0], name
+        checks.add(got[1]["check"])
+    assert checks >= {"involution", "sign-flip"}
 
 
 @pytest.mark.parametrize(

@@ -312,6 +312,28 @@ def test_enumerate_ens_frozen_small():
     ]
 
 
+def test_cached_enumerators_hand_out_fresh_lists():
+    # each call builds its list from the process-wide cache: clearing,
+    # reordering or extending one list leaves the next call's untouched
+    for n, k in ((0, 1), (1, 3), (2, 2), (3, 3)):
+        first = enumerate_ens(n, k)
+        assert type(first) is list
+        first.reverse()
+        first.append(((-1,) * n, identity(n)))
+        second = enumerate_ens(n, k)
+        assert second is not first
+        assert second == sorted(ens_oracle(n, k)) and len(second) == k ** n
+        second.clear()
+        assert set(enumerate_ens(n, k)) == ens_oracle(n, k)
+    for parts in ((1, 1), (2, 0), (1, 2, 1), (0,), ()):
+        first = enumerate_shuffles(parts)
+        assert type(first) is list
+        first.sort(reverse=True)
+        first.append(())
+        assert enumerate_shuffles(parts) == sorted(shuffle_oracle(parts))
+        assert enumerate_shuffles(list(parts)) == enumerate_shuffles(parts)
+
+
 # ---------------------------------------------------------------------------
 # The boundary bijection.
 # ---------------------------------------------------------------------------

@@ -29,14 +29,19 @@ from loophom.transform import (
     shuffle_expand,
     subdivision_vector,
     symbolic_cancellation,
-    term_matches_path,
     term_to_simplex,
     vanishing_sum_check,
 )
 from loophom.wedge import Simplex, build_pair_complex, in_Y
 from loophom.words import magnus, monomial_index, parse_word, positivize
 import oracles
-from oracles import context, is_nondegenerate, nu_basis_matrix, on_common_denominator
+from oracles import (
+    context,
+    integer_term_matches_path,
+    is_nondegenerate,
+    nu_basis_matrix,
+    on_common_denominator,
+)
 
 X = ((1, 1),)
 A = ((1, 2), (1, 1))
@@ -548,11 +553,11 @@ def test_sampling_oracle_rejects_forged_cells():
     v, sigma = (0, 1), (1, 2)
     nums, den = on_common_denominator((Fraction(1, 3), Fraction(1, 2)))
     path = _path_table(xy, nums, den)
-    assert term_matches_path(v, sigma, nums, den, term_to_simplex(xy, v, sigma), path)
+    assert integer_term_matches_path(v, sigma, nums, den, term_to_simplex(xy, v, sigma), path)
     wrong_letters = ((2, 2), (1, 1))
-    assert not term_matches_path(v, sigma, nums, den, wrong_letters, path)
+    assert not integer_term_matches_path(v, sigma, nums, den, wrong_letters, path)
     wrong_jumps = ((1, 1), (2, 2))
-    assert not term_matches_path(v, sigma, nums, den, wrong_jumps, path)
+    assert not integer_term_matches_path(v, sigma, nums, den, wrong_jumps, path)
 
 
 # The integer oracle against the exact-rational reference in the oracles.
@@ -600,7 +605,7 @@ def verdicts(w, n, x, cells_of):
     for v, sigma in shuffle_expand(w, n):
         for cell in cells_of(w, v, sigma):
             yield (
-                term_matches_path(v, sigma, nums, den, cell, path),
+                integer_term_matches_path(v, sigma, nums, den, cell, path),
                 oracles.term_matches_path(v, sigma, x, cell, ref_path),
             )
 
@@ -652,6 +657,86 @@ def test_term_matches_path_agrees_with_reference_property(case):
     w, n, x, forged = case
     for mine, ref in verdicts(w, n, x, lambda w, v, sigma: [term_to_simplex(w, v, sigma), *forged]):
         assert mine == ref
+
+
+# The one-comparison-per-point oracle against the piece-by-piece reference.
+
+
+def per_piece_oracle(w, n, points) -> bool:
+    """`sampling_oracle` piece by piece, through `integer_term_matches_path`,
+    on the cells that ``transform.term_to_simplex`` gives."""
+    pieces = shuffle_expand(w, n)
+    cells = [transform.term_to_simplex(w, v, sigma) for v, sigma in pieces]
+    for nums, den in points:
+        path = _path_table(w, nums, den)
+        for (v, sigma), cell in zip(pieces, cells):
+            if not integer_term_matches_path(v, sigma, nums, den, cell, path):
+                return False
+    return True
+
+
+def swapped_cells(w, v, sigma) -> list[Simplex]:
+    """The piece's simplex with the letters, then the jumps, of two
+    positions swapped, for every pair of positions."""
+    true = term_to_simplex(w, v, sigma)
+    out = []
+    for p, r in itertools.combinations(range(len(true)), 2):
+        (lp, jp), (lr, jr) = true[p], true[r]
+        for at_p, at_r in (((lr, jp), (lp, jr)), ((lp, jr), (lr, jp))):
+            out.append(true[:p] + (at_p,) + true[p + 1:r] + (at_r,) + true[r + 1:])
+    return out
+
+
+def oracle_points(n: int, seed: int) -> list[tuple[list[int], int]]:
+    return [on_common_denominator(x) for x in sample_points(n, seed)]
+
+
+def forging(piece, cell):
+    """A `term_to_simplex` that gives ``cell`` for ``piece`` and the true
+    simplex for every other piece."""
+
+    def forged(w, v, sigma):
+        return cell if (tuple(v), sigma) == piece else term_to_simplex(w, v, sigma)
+
+    return forged
+
+
+def test_sampling_oracle_matches_per_piece_reference(monkeypatch):
+    words = ORACLE_WORDS + [parse_word("x"), parse_word("xxx")]
+    counts = {True: 0, False: 0}
+    for w in words:
+        for n in (1, 2, 3):
+            points = oracle_points(n, seed=40 + n)
+            pieces = shuffle_expand(w, n)
+            assert sampling_oracle(w, n, points) and per_piece_oracle(w, n, points)
+            for piece in (pieces[0], pieces[len(pieces) // 2], pieces[-1]):
+                for cell in forged_cells(w, *piece)[1:] + swapped_cells(w, *piece):
+                    with monkeypatch.context() as m:
+                        m.setattr(transform, "term_to_simplex", forging(piece, cell))
+                        got = sampling_oracle(w, n, points)
+                        assert got == per_piece_oracle(w, n, points), (w, n, piece, cell)
+                    counts[got] += 1
+    # a forgery that changes nothing (a swap of equal letters) still passes
+    assert counts[False] > 500 and counts[True] > 50, counts
+
+
+def test_sampling_oracle_rejects_forged_cells_in_place_of_the_true_ones(monkeypatch):
+    xy = parse_word("xy")
+    points = [on_common_denominator((Fraction(1, 3), Fraction(1, 2)))]
+    piece = ((0, 1), (1, 2))
+    assert term_to_simplex(xy, *piece) == ((1, 2), (2, 1))
+    assert sampling_oracle(xy, 2, points)
+    for forged in (((2, 2), (1, 1)), ((1, 1), (2, 2))):  # letters, then jumps, swapped
+        monkeypatch.setattr(transform, "term_to_simplex", forging(piece, forged))
+        assert not sampling_oracle(xy, 2, points)
+    # at n = 1 each side of a one-letter word is a single entry
+    x = parse_word("x")
+    points = [on_common_denominator((Fraction(1, 3),))]
+    monkeypatch.setattr(transform, "term_to_simplex", forging(((0,), (1,)), ((2, 1),)))
+    assert not sampling_oracle(x, 1, points)
+    monkeypatch.undo()
+    assert sampling_oracle(x, 1, points)
+    assert sampling_oracle(x, 1, [([0], 1), ([1], 1)])
 
 
 # ---------------------------------------------------------------------------
